@@ -342,8 +342,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         show_witnesses=getattr(args, "witnesses", False))
 
 
+# Built once per process: building it costs milliseconds, which a caller
+# that runs many jobs through main() in one process would pay per job.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         manifest = run(config_from_args(args))
     except ProfileFormatError as exc:

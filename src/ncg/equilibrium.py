@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import SizeGuard
-from .game import (INF, GameConfig, StrategyProfile, agent_cost, build_graph,
-                   eccentricity, social_cost, _reachable_mask)
+from .game import (INF, GameConfig, StrategyProfile, agent_cost, bfs,
+                   build_graph, eccentricity, social_cost)
 
 BEST_RESPONSE_MAX_N = 20
 ENUMERATION_MAX_N = 6
@@ -97,30 +97,15 @@ def _base_adj(adj, buys_masks, v: int) -> list:
 
 
 def _ecc_deviation(base_adj, v: int, smask: int, n: int):
-    """Eccentricity of v when v's purchase set is the bitmask smask."""
-    full = (1 << n) - 1
-    bitv = 1 << v
-    seen = frontier = bitv
-    ecc = 0
-    while seen != full:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            nb = base_adj[u]
-            if u == v:
-                nb |= smask
-            elif smask & low:
-                nb |= bitv
-            nxt |= nb
-            m ^= low
-        frontier = nxt & ~seen
-        if not frontier:
-            return INF
-        seen |= frontier
-        ecc += 1
-    return ecc
+    """Eccentricity of v when v's purchase set is the bitmask smask.
+
+    Every added link ends at v, which is the BFS source, so the search can
+    start from v plus its first ring on the unmodified base adjacency.
+    """
+    first = base_adj[v] | smask
+    if not first:
+        return 0 if n == 1 else INF
+    return 1 + bfs(base_adj, first | 1 << v, (1 << n) - 1)
 
 
 def _buys_masks(profile: StrategyProfile) -> list:
@@ -356,7 +341,7 @@ def isomorphism_canonical_code(profile: StrategyProfile) -> str:
 def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
     """Exact Nash decision on mask-level state (hot path for enumeration)."""
     full = (1 << n) - 1
-    if n > 1 and _reachable_mask(adj, 0) != full:
+    if bfs(adj, 1, full) == INF:
         return False  # disconnected: buying every link is always better than INF
     for v in range(n):
         base = _base_adj(adj, buys_masks, v)

@@ -145,9 +145,7 @@ class OwnedGraph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        return _reachable_mask(self.adj, 0) == (1 << self.n) - 1
+        return bfs(self.adj, 1, (1 << self.n) - 1) != INF
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
@@ -192,26 +190,21 @@ class CostBreakdown:
     total: Fraction | float
 
 
-def _reachable_mask(adj, source: int) -> int:
-    seen = frontier = 1 << source
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
+def bfs(adj, sources: int, target: int, layers: list | None = None):
+    """Hops until every vertex of ``target`` is seen from the ``sources`` mask.
 
-
-def eccentricity(adj, source: int, n: int):
-    """Max BFS distance from source; INF if any vertex is unreachable."""
-    full = (1 << n) - 1
-    seen = frontier = 1 << source
-    ecc = 0
-    while seen != full:
+    The one frontier-expansion loop of the package: eccentricity,
+    distances, connectivity and smallest-parent trees are views of it.
+    Returns INF if some target vertex is unreachable. A ``layers`` list
+    receives the frontier masks (``layers[d]`` = vertices at distance d);
+    without one nothing is allocated, which matters to best-response
+    scans that call this once per candidate purchase set.
+    """
+    seen = frontier = sources
+    if layers is not None:
+        layers.append(frontier)
+    d = 0
+    while target & ~seen:
         nxt = 0
         m = frontier
         while m:
@@ -222,27 +215,23 @@ def eccentricity(adj, source: int, n: int):
         if not frontier:
             return INF
         seen |= frontier
-        ecc += 1
-    return ecc
+        d += 1
+        if layers is not None:
+            layers.append(frontier)
+    return d
+
+
+def eccentricity(adj, source: int, n: int):
+    """Max BFS distance from source; INF if any vertex is unreachable."""
+    return bfs(adj, 1 << source, (1 << n) - 1)
 
 
 def distances_from(adj, source: int, n: int) -> list:
     """BFS distances from one source; INF where unreachable."""
     dist = [INF] * n
-    dist[source] = 0
-    seen = frontier = 1 << source
-    d = 0
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        m = frontier
+    layers: list = []
+    bfs(adj, 1 << source, (1 << n) - 1, layers)
+    for d, m in enumerate(layers):
         while m:
             low = m & -m
             dist[low.bit_length() - 1] = d

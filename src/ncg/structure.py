@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from .game import (GameConfig, OwnedGraph, StrategyProfile, agent_cost,
-                   all_pairs_distances, build_graph, distances_from,
+from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, agent_cost,
+                   all_pairs_distances, bfs, build_graph, distances_from,
                    eccentricity, metrics)
 
 
@@ -47,12 +47,6 @@ class ShortestPathTree:
         return frozenset(
             (v, p) if v < p else (p, v)
             for v, p in enumerate(self.parent) if p is not None)
-
-    def path_to_root(self, v: int) -> list:
-        path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
 
 
 @dataclass(frozen=True)
@@ -236,26 +230,24 @@ def shortest_path_tree(graph: OwnedGraph, root: int,
     as parent, so the tree is unique. Raises Disconnected if any vertex is
     out of reach."""
     n = graph.n
-    depth = [None] * n
-    parent = [None] * n
-    depth[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        # Ascending frontier order makes the first discoverer of each vertex
-        # its smallest-index depth-(d-1) neighbor: the deterministic tie rule.
-        for u in sorted(frontier):
-            for w in graph.neighbors(u):
-                if depth[w] is None:
-                    depth[w] = d
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    if any(dv is None for dv in depth):
+    layers: list = []
+    if bfs(graph.adj, 1 << root, (1 << n) - 1, layers) == INF:
         raise Disconnected(f"vertices unreachable from {root}")
+    depth = [0] * n
+    parent = [None] * n
+    for d in range(1, len(layers)):
+        m = layers[d]
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            m ^= low
+            depth[w] = d
+            parent[w] = _lowest_vertex(graph.adj[w] & layers[d - 1])
     return ShortestPathTree(root=root, parent=tuple(parent), depth=tuple(depth))
+
+
+def _lowest_vertex(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +264,10 @@ def _cycle_owners(graph: OwnedGraph, vertices: tuple) -> tuple:
     return tuple(owners)
 
 
-def _cycle_is_directed(buys, vertices: tuple) -> bool:
-    L = len(vertices)
-    forward = all(vertices[(i + 1) % L] in buys[vertices[i]] for i in range(L))
-    backward = all(vertices[i] in buys[vertices[(i + 1) % L]] for i in range(L))
-    return forward or backward
-
-
 def is_directed_cycle(profile: StrategyProfile, cycle) -> bool:
     """True iff some rotation/reflection has every edge bought by its tail."""
     vertices = tuple(cycle.vertices if isinstance(cycle, MinCycle) else cycle)
-    return _cycle_is_directed(profile.buys, vertices)
+    return _owners_directed(build_graph(profile), vertices)
 
 
 def is_min_cycle(graph: OwnedGraph, cycle) -> bool:
@@ -306,36 +291,16 @@ def is_min_cycle(graph: OwnedGraph, cycle) -> bool:
 
 def _shortest_path_avoiding_edge(graph: OwnedGraph, u: int, v: int):
     """Smallest-parent BFS path from u to v in the graph minus edge (u, v)."""
-    n = graph.n
     adj = list(graph.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    depth = [None] * n
-    parent = [None] * n
-    depth[u] = 0
-    frontier = [u]
-    d = 0
-    while frontier and depth[v] is None:
-        d += 1
-        nxt = []
-        for x in sorted(frontier):
-            m = adj[x]
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                if depth[w] is None:
-                    depth[w] = d
-                    parent[w] = x
-                    nxt.append(w)
-                elif depth[w] == d and x < parent[w]:
-                    parent[w] = x
-        frontier = nxt
-    if depth[v] is None:
+    layers: list = []
+    d = bfs(adj, 1 << u, 1 << v, layers)
+    if d == INF:
         return None
     path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
+    for layer in reversed(layers[:d]):
+        path.append(_lowest_vertex(adj[path[-1]] & layer))
     path.reverse()
     return path
 
@@ -476,22 +441,19 @@ def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree):
     component vertices into connected pieces of that restriction."""
     t_edges = spt.edges()
     th_edges = frozenset(e for e in component.edges if e in t_edges)
-    piece: dict[int, int] = {}
-    adj: dict[int, list] = {v: [] for v in component.vertices}
+    n = len(spt.parent)
+    adj = [0] * n
     for u, v in th_edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    piece: dict[int, int] = {}
     for v in sorted(component.vertices):
         if v in piece:
             continue
-        stack = [v]
-        piece[v] = v
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in piece:
-                    piece[y] = v
-                    stack.append(y)
+        layers: list = []
+        bfs(adj, 1 << v, (1 << n) - 1, layers)
+        reached = sum(layers)  # the layers are disjoint masks
+        piece.update((w, v) for w in component.vertices if reached >> w & 1)
     return th_edges, piece
 
 

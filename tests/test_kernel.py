@@ -1,0 +1,87 @@
+"""The bitmask BFS kernel and the distance queries built on it, checked
+against the deque BFS in ``oracles``."""
+
+from hypothesis import example, given, settings
+
+import oracles
+from conftest import strategy_profiles
+from ncg.game import INF, StrategyProfile, bfs, build_graph
+from ncg.equilibrium import _base_adj, _buys_masks, _ecc_deviation
+from ncg.structure import shortest_path_tree
+
+
+def _mask(vertices) -> int:
+    m = 0
+    for u in vertices:
+        m |= 1 << u
+    return m
+
+
+def _path_adj(n):
+    return build_graph(StrategyProfile.from_sets(
+        [{i + 1} if i + 1 < n else set() for i in range(n)])).adj
+
+
+class TestBfs:
+    def test_layers_are_distance_classes(self):
+        adj = _path_adj(4)
+        layers = []
+        assert bfs(adj, 1 << 1, 0b1111, layers) == 2
+        assert layers == [0b0010, 0b0101, 0b1000]
+
+    def test_stops_once_target_is_seen(self):
+        adj = _path_adj(5)
+        layers = []
+        assert bfs(adj, 1, 1 << 2, layers) == 2
+        assert len(layers) == 3
+
+    def test_sources_covering_target_take_zero_hops(self):
+        assert bfs(_path_adj(3), 0b101, 0b101) == 0
+
+    def test_unreachable_target_is_inf_with_all_reachable_layers(self):
+        adj = build_graph(StrategyProfile.from_sets([{1}, set(), set()])).adj
+        layers = []
+        assert bfs(adj, 1, 0b111, layers) == INF
+        assert layers == [0b001, 0b010]
+
+    def test_multi_source(self):
+        assert bfs(_path_adj(7), 1 | 1 << 6, (1 << 7) - 1) == 3
+
+
+@given(strategy_profiles(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_shortest_path_tree_takes_smallest_parent(profile):
+    n = profile.n
+    graph = build_graph(profile)
+    adj = oracles.adjacency(n, profile.buys)
+    connected = len(oracles.bfs_distances(adj, 0)) == n
+    assert graph.is_connected() == connected
+    if not connected:
+        return
+    for root in range(n):
+        dist = oracles.bfs_distances(adj, root)
+        spt = shortest_path_tree(graph, root)
+        assert list(spt.depth) == [dist[w] for w in range(n)]
+        for w in range(n):
+            closer = [u for u in adj[w] if dist[u] == dist[w] - 1]
+            assert spt.parent[w] == (min(closer) if closer else None)
+
+
+@given(strategy_profiles(max_n=7))
+@example(StrategyProfile.empty(1))
+@example(StrategyProfile.from_sets([set(), {2}, set()]))       # 0 isolated
+@example(StrategyProfile.from_sets([{1}, {0, 2}, {3}, set()]))  # 0-1 bought twice
+@settings(max_examples=60, deadline=None)
+def test_copy_free_deviation_matches_oracle(profile):
+    """Every agent v and every purchase set S: the deviation BFS on the
+    base adjacency equals the oracle's eccentricity where v buys S."""
+    n = profile.n
+    graph = build_graph(profile)
+    buys_masks = _buys_masks(profile)
+    for v in range(n):
+        base = _base_adj(graph.adj, buys_masks, v)
+        for subset in oracles.powerset(u for u in range(n) if u != v):
+            trial = list(profile.buys)
+            trial[v] = set(subset)
+            expected = oracles.eccentricity(n, oracles.adjacency(n, trial), v)
+            assert _ecc_deviation(base, v, _mask(subset), n) == expected
