@@ -5,9 +5,9 @@ JSON manifest alongside it recording the configuration, the CSV digest and
 the wall time. Identical configuration and seed reproduce byte-identical
 CSVs regardless of worker count; only manifest timestamps differ.
 
-Exit codes: 0 success (including verify reporting "not an equilibrium"),
-2 usage errors, 3 invalid configuration, 4 profile parse errors,
-5 instance-size guard.
+Exit codes: 0 success (including verify reporting "not an equilibrium",
+and a run whose reader closed stdout early), 2 usage errors, 3 invalid
+configuration, 4 profile parse errors, 5 instance-size guard.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,8 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ProfileFormatError, SizeGuard
-from .game import (INF, GameConfig, StrategyProfile, agent_cost, build_graph,
-                   social_cost)
+from .game import INF, GameConfig, StrategyProfile, build_graph, eccentricity
 from .equilibrium import (best_response_dynamics, best_response_exact,
                           enumerate_equilibria, is_nash,
                           search_nontree_equilibria)
@@ -97,6 +97,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _emit(text: str) -> None:
+    """Write to stdout; a reader that closes the pipe early (``| head``) only
+    stops receiving text, the run still writes its CSV and manifest."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _strategy_str(strategy) -> str:
     return ";".join(str(v) for v in strategy)
 
@@ -164,15 +177,16 @@ def _rows_dynamics(config):
 
 def _profile_row(game, profile):
     graph = build_graph(profile)
-    cost = social_cost(game, profile)
-    worst_agent = max(agent_cost(game, profile, v).total for v in range(game.n))
+    # The social cost counts purchases, so it is the sum of the agent costs.
+    costs = [game.alpha * len(s) + eccentricity(graph.adj, v, game.n)
+             for v, s in enumerate(profile.buys)]
     return {
         "alpha": _fmt(game.alpha), "n": game.n,
         "profile_id": profile.ownership_code(),
         "edges": graph.edge_count(),
         "is_tree": _fmt(graph.is_tree()),
-        "social_cost": _fmt(cost),
-        "max_agent_cost": _fmt(worst_agent),
+        "social_cost": _fmt(sum(costs)),
+        "max_agent_cost": _fmt(max(costs)),
     }
 
 
@@ -204,7 +218,7 @@ def _rows_audit(config):
     report = audit_equilibrium_structure(game, profile)
     if config.show_witnesses:
         from .structure import render_report
-        print(render_report(report), end="")
+        _emit(render_report(report))
     profile_id = profile.ownership_code()
     rows = []
     for rec in report.records:
@@ -294,6 +308,13 @@ def run(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _exact_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg",
@@ -302,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_out=True):
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--alpha", type=Fraction, default=None,
+        p.add_argument("--alpha", type=_exact_rational, default=None,
                        help="exact rational, e.g. 25 or 19/2")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)
@@ -360,7 +381,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
-    print(f"{manifest.mode}: {manifest.rows} row(s) -> {manifest.output}")
+    _emit(f"{manifest.mode}: {manifest.rows} row(s) -> {manifest.output}\n")
     return 0
 
 

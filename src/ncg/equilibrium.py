@@ -118,6 +118,17 @@ def _buys_masks(profile: StrategyProfile) -> list:
     return masks
 
 
+def _adj_of(buys_masks) -> list:
+    """Neighbour masks of the graph the purchase masks induce."""
+    adj = list(buys_masks)
+    for u, m in enumerate(buys_masks):
+        while m:
+            low = m & -m
+            adj[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    return adj
+
+
 def _mask_to_tuple(mask: int) -> tuple:
     out = []
     while mask:
@@ -128,44 +139,80 @@ def _mask_to_tuple(mask: int) -> tuple:
 
 
 def _scan_best_response(p: int, q: int, base_adj, v: int, n: int,
-                        cur_k: int, cur_e, stop_at_first: bool):
+                        bound, stop_at_first: bool):
     """Scan all purchase sets of v in (size, lexicographic) order.
 
     alpha = p/q; costs compare as integers, alpha*k + e < alpha*k' + e'
-    iff p*k + q*e < p*k' + q*e'. Returns (best_mask, best_k, best_e,
-    improved) where best is the overall minimum and, because the scan
-    order is (size, lex) ascending with strict replacement, also the
-    fewest-purchases-then-lex tie-break winner. ``improved`` says the
-    best strictly beats the incumbent (cur_k, cur_e); with stop_at_first
-    the scan returns at the first strict improvement. Sizes whose
-    creation cost alone rules out a win are pruned (usage >= 1 for any
-    reachable vertex set).
+    iff p*k + q*e < p*k' + q*e'. Returns (mask, k, e) of the cheapest set
+    whose scaled cost p*k + q*e is below ``bound`` (INF for no bound), or
+    None if there is none. The scan order is (size, lex) ascending with
+    strict replacement, so the minimum is also the fewest-purchases-then-
+    lex tie-break winner. With stop_at_first the scan returns the first
+    set below bound. Sizes whose creation cost alone rules out a win are
+    pruned (usage >= 1 for any reachable vertex set).
     """
     others = [u for u in range(n) if u != v]
-    cur_scaled = None if cur_e == INF else p * cur_k + q * cur_e
-    best_mask, best_k, best_e, best_scaled = None, 0, INF, None
+    best = None
     for k in range(len(others) + 1):
-        bound = cur_scaled if stop_at_first else best_scaled
-        if bound is not None and k > 0 and p * k + q >= bound:
+        if k > 0 and p * k + q >= bound:
             break
         for combo in combinations(others, k):
             smask = 0
             for u in combo:
                 smask |= 1 << u
             e = _ecc_deviation(base_adj, v, smask, n)
-            if e == INF:
-                continue
-            scaled = p * k + q * e
-            if best_scaled is None or scaled < best_scaled:
-                best_mask, best_k, best_e, best_scaled = smask, k, e, scaled
-                if stop_at_first and (cur_scaled is None or scaled < cur_scaled):
-                    return best_mask, best_k, best_e, True
-    improved = best_scaled is not None and (cur_scaled is None or best_scaled < cur_scaled)
-    return best_mask, best_k, best_e, improved
+            scaled = p * k + q * e  # INF when e is
+            if scaled < bound:
+                best = smask, k, e
+                if stop_at_first:
+                    return best
+                bound = scaled
+    return best
 
 
-def _current_cost_parts(profile: StrategyProfile, adj, v: int):
-    return len(profile.buys[v]), eccentricity(adj, v, len(adj))
+def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool):
+    """First strictly improving purchase set of v found, as (mask, k, e), or None.
+
+    The one per-agent Nash decider; alpha = p/q as in _scan_best_response.
+    Single-link moves come first: drop each owned link, then buy each
+    missing link, then each (drop, buy) swap, in ascending index order.
+    With ``exact`` the full scan follows, so None certifies best response.
+    Allocates nothing per move: enumeration calls it on every state.
+    """
+    full = (1 << n) - 1
+    cur_mask = buys_masks[v]
+    cur_k = bin(cur_mask).count("1")
+    # INF when v is cut off, and then every move that reconnects it wins.
+    cur_scaled = p * cur_k + q * bfs(adj, 1 << v, full)
+    base = _base_adj(adj, buys_masks, v)
+    # Buying a link to an already-adjacent vertex only wastes alpha.
+    missing = full & ~(1 << v) & ~adj[v]
+    drops = cur_mask
+    while drops:
+        low = drops & -drops
+        drops ^= low
+        e = _ecc_deviation(base, v, cur_mask ^ low, n)
+        if p * (cur_k - 1) + q * e < cur_scaled:
+            return cur_mask ^ low, cur_k - 1, e
+    adds = missing
+    while adds:
+        low = adds & -adds
+        adds ^= low
+        e = _ecc_deviation(base, v, cur_mask | low, n)
+        if p * (cur_k + 1) + q * e < cur_scaled:
+            return cur_mask | low, cur_k + 1, e
+    drops = cur_mask
+    while drops:
+        drop = drops & -drops
+        drops ^= drop
+        adds = missing
+        while adds:
+            low = adds & -adds
+            adds ^= low
+            e = _ecc_deviation(base, v, cur_mask ^ drop | low, n)
+            if p * cur_k + q * e < cur_scaled:
+                return cur_mask ^ drop | low, cur_k, e
+    return _scan_best_response(p, q, base, v, n, cur_scaled, True) if exact else None
 
 
 def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
@@ -179,14 +226,12 @@ def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
         raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
     if profile.n != n:
         raise ValueError("profile size does not match config")
-    graph = build_graph(profile)
-    buys_masks = _buys_masks(profile)
-    base = _base_adj(graph.adj, buys_masks, v)
-    cur_k, cur_e = _current_cost_parts(profile, graph.adj, v)
+    if not 0 <= v < n:
+        raise ValueError(f"agent {v} out of range for n = {n}")
+    base = _base_adj(build_graph(profile).adj, _buys_masks(profile), v)
     p, q = config.alpha.numerator, config.alpha.denominator
-    mask, k, e, _ = _scan_best_response(p, q, base, v, n, cur_k, cur_e, False)
-    if mask is None:  # unreachable: buying every link always yields usage <= 1
-        return profile.buys[v], config.alpha * cur_k + cur_e
+    # Never None: buying every link gives usage <= 1.
+    mask, k, e = _scan_best_response(p, q, base, v, n, INF, False)
     return _mask_to_tuple(mask), config.alpha * k + e
 
 
@@ -195,25 +240,19 @@ def is_nash(config: GameConfig, profile: StrategyProfile) -> EquilibriumReport:
     n = config.n
     if n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"exhaustive verification needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
-    graph = build_graph(profile)
+    adj = build_graph(profile).adj
     buys_masks = _buys_masks(profile)
     p, q = config.alpha.numerator, config.alpha.denominator
-    per_agent = []
+    current = tuple(config.alpha * len(s) + eccentricity(adj, v, n)
+                    for v, s in enumerate(profile.buys))
     for v in range(n):
-        cur_k, cur_e = _current_cost_parts(profile, graph.adj, v)
-        base = _base_adj(graph.adj, buys_masks, v)
-        mask, k, e, improved = _scan_best_response(p, q, base, v, n, cur_k, cur_e, False)
-        if improved:
-            witness = DeviationWitness(
-                agent=v,
-                old_strategy=profile.buys[v],
-                new_strategy=_mask_to_tuple(mask),
-                old_cost=(config.alpha * cur_k + cur_e),
-                new_cost=config.alpha * k + e,
-            )
+        if _improving_move(p, q, n, adj, buys_masks, v, True) is not None:
+            # The full scan gives the pinned (size, lex) tie-break witness.
+            new_strategy, new_cost = best_response_exact(config, profile, v)
+            witness = DeviationWitness(v, profile.buys[v], new_strategy,
+                                       current[v], new_cost)
             return EquilibriumReport(is_nash=False, witness=witness, per_agent_best=None)
-        per_agent.append(config.alpha * cur_k + cur_e)
-    return EquilibriumReport(is_nash=True, witness=None, per_agent_best=tuple(per_agent))
+    return EquilibriumReport(is_nash=True, witness=None, per_agent_best=current)
 
 
 def verify_witness(config: GameConfig, profile: StrategyProfile,
@@ -235,45 +274,17 @@ def improving_move_heuristic(config: GameConfig, profile: StrategyProfile,
     filter, and the single-move vocabulary misses multi-link deviations.
     """
     n = config.n
-    graph = build_graph(profile)
     buys_masks = _buys_masks(profile)
-    base = _base_adj(graph.adj, buys_masks, v)
-    cur_k, cur_e = _current_cost_parts(profile, graph.adj, v)
+    adj = _adj_of(buys_masks)
     p, q = config.alpha.numerator, config.alpha.denominator
-    cur_scaled = None if cur_e == INF else p * cur_k + q * cur_e
-    cur_mask = buys_masks[v]
-    owned = _mask_to_tuple(cur_mask)
-    # Adding a link to an already-adjacent vertex only wastes alpha.
-    addable = [w for w in range(n)
-               if w != v and not (cur_mask >> w) & 1 and not (graph.adj[v] >> w) & 1]
-
-    def check(smask: int, k: int):
-        e = _ecc_deviation(base, v, smask, n)
-        if e == INF:
-            return None
-        if cur_scaled is None or p * k + q * e < cur_scaled:
-            return DeviationWitness(
-                agent=v, old_strategy=profile.buys[v],
-                new_strategy=_mask_to_tuple(smask),
-                old_cost=config.alpha * cur_k + cur_e,
-                new_cost=config.alpha * k + e)
+    move = _improving_move(p, q, n, adj, buys_masks, v, False)
+    if move is None:
         return None
-
-    for u in owned:
-        w_ = check(cur_mask & ~(1 << u), cur_k - 1)
-        if w_:
-            return w_
-    for w in addable:
-        w_ = check(cur_mask | (1 << w), cur_k + 1)
-        if w_:
-            return w_
-    for u in owned:
-        removed = cur_mask & ~(1 << u)
-        for w in addable:
-            w_ = check(removed | (1 << w), cur_k)
-            if w_:
-                return w_
-    return None
+    mask, k, e = move
+    return DeviationWitness(
+        agent=v, old_strategy=profile.buys[v], new_strategy=_mask_to_tuple(mask),
+        old_cost=config.alpha * len(profile.buys[v]) + eccentricity(adj, v, n),
+        new_cost=config.alpha * k + e)
 
 
 def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
@@ -340,44 +351,10 @@ def isomorphism_canonical_code(profile: StrategyProfile) -> str:
 
 def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
     """Exact Nash decision on mask-level state (hot path for enumeration)."""
-    full = (1 << n) - 1
-    if bfs(adj, 1, full) == INF:
+    if bfs(adj, 1, (1 << n) - 1) == INF:
         return False  # disconnected: buying every link is always better than INF
-    for v in range(n):
-        base = _base_adj(adj, buys_masks, v)
-        cur_k = bin(buys_masks[v]).count("1")
-        cur_e = eccentricity(adj, v, n)
-        cur_scaled = p * cur_k + q * cur_e
-        cur_mask = buys_masks[v]
-        missing = full & ~(1 << v) & ~adj[v]
-        # Cheap sound filters: whole-set moves and single-link moves.
-        e = _ecc_deviation(base, v, 0, n)
-        if e != INF and q * e < cur_scaled:
-            return False
-        if missing:
-            smask = cur_mask | missing
-            k = bin(smask).count("1")
-            e = _ecc_deviation(base, v, smask, n)
-            if e != INF and p * k + q * e < cur_scaled:
-                return False
-        m = cur_mask
-        while m:
-            low = m & -m
-            m ^= low
-            e = _ecc_deviation(base, v, cur_mask & ~low, n)
-            if e != INF and p * (cur_k - 1) + q * e < cur_scaled:
-                return False
-        mm = missing
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            e = _ecc_deviation(base, v, cur_mask | low, n)
-            if e != INF and p * (cur_k + 1) + q * e < cur_scaled:
-                return False
-        _, _, _, improved = _scan_best_response(p, q, base, v, n, cur_k, cur_e, True)
-        if improved:
-            return False
-    return True
+    return all(_improving_move(p, q, n, adj, buys_masks, v, True) is None
+               for v in range(n))
 
 
 def _decode_ownership(code_int: int, n: int, pairs) -> tuple:
@@ -459,40 +436,43 @@ def _split_range(total: int, workers: int) -> list:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)] or [(0, 0)]
 
 
-def _random_profile(rng: random.Random, n: int) -> StrategyProfile:
-    """Random single-ownership profile with a per-draw edge density."""
+def _random_buys_masks(rng: random.Random, n: int) -> list:
+    """Purchase masks of a random single-ownership profile with a per-draw
+    edge density."""
     density = rng.uniform(0.15, 0.9)
-    buys: list[set] = [set() for _ in range(n)]
+    buys_masks = [0] * n
     for u, v in combinations(range(n), 2):
         if rng.random() < density:
             if rng.random() < 0.5:
-                buys[u].add(v)
+                buys_masks[u] |= 1 << v
             else:
-                buys[v].add(u)
-    return StrategyProfile.from_sets(buys)
+                buys_masks[v] |= 1 << u
+    return buys_masks
 
 
 def _search_iteration(args):
+    """One restart: single improving moves on mask state, then exact verification."""
     n, alpha, seed, iteration = args
-    config = GameConfig(n, alpha)
     rng = random.Random(_derive_seed(seed, iteration))
-    profile = _random_profile(rng, n)
-    move_cap = 4 * n * n
-    for _ in range(move_cap):
+    buys_masks = _random_buys_masks(rng, n)
+    adj = _adj_of(buys_masks)
+    p, q = alpha.numerator, alpha.denominator
+    for _ in range(4 * n * n):
         agents = list(range(n))
         rng.shuffle(agents)
-        witness = None
         for v in agents:
-            witness = improving_move_heuristic(config, profile, v)
-            if witness is not None:
+            move = _improving_move(p, q, n, adj, buys_masks, v, False)
+            if move is not None:
+                buys_masks[v] = move[0]
+                adj = _adj_of(buys_masks)
                 break
-        if witness is None:
+        else:
             break
-        profile = profile.with_strategy(witness.agent, witness.new_strategy)
-    graph = build_graph(profile)
-    if not graph.is_connected() or graph.is_tree():
+    edges = sum(bin(m).count("1") for m in adj) // 2
+    if bfs(adj, 1, (1 << n) - 1) == INF or edges == n - 1:
         return None
-    if is_nash(config, profile).is_nash:
+    profile = StrategyProfile(tuple(_mask_to_tuple(m) for m in buys_masks))
+    if is_nash(GameConfig(n, alpha), profile).is_nash:
         return profile.ownership_code()
     return None
 

@@ -30,8 +30,11 @@ class GameConfig:
     alpha: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        # A float is already rounded (0.1 is not 1/10), so only exact types count.
+        if isinstance(self.alpha, (bool, float)):
+            raise ValueError(f"alpha must be an exact rational, got {self.alpha!r}")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")

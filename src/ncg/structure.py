@@ -522,7 +522,8 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     comps = biconnected_components(graph)
     records: list[CheckRecord] = []
 
-    g = girth(graph)
+    cyc = shortest_cycle(graph)
+    g = None if cyc is None else len(cyc)
     for check_id, threshold, label in (
             ("girth_alpha_plus_2", alpha + 2, "alpha + 2"),
             ("girth_2alpha_minus_1", 2 * alpha - 1, "2*alpha - 1")):
@@ -530,7 +531,6 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
             records.append(_check(check_id, True, passed=True, vacuous=True,
                                   detail="no cycles"))
         elif Fraction(g) < threshold:
-            cyc = shortest_cycle(graph)
             records.append(_check(
                 check_id, True, passed=False,
                 witnesses=[Witness("cycle", cyc,

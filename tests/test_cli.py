@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -54,6 +55,20 @@ class TestVerifyMode:
     def test_missing_inputs_exit_code(self, tmp_path):
         rc = main(["enumerate", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("agent", ["7", "-1"])
+    def test_agent_out_of_range_exit_code(self, tmp_path, capsys, agent):
+        rc = main(["best-response", "--in", write(tmp_path, "s.ncg", STAR3),
+                   "--agent", agent, "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert f"agent {agent} out of range" in capsys.readouterr().err
+
+    def test_zero_denominator_alpha_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "3", "--alpha", "1/0",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "not an exact rational: '1/0'" in capsys.readouterr().err
 
 
 class TestRowsAndManifests:
@@ -172,6 +187,23 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_closed_stdout_still_writes_outputs(tmp_path):
+    # The reader end is closed before the run starts, as after `| head -1`.
+    out = tmp_path / "a.csv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncg.cli", "audit", "--witnesses",
+             "--in", write(tmp_path, "t.ncg", TRIANGLE), "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert read_csv(out)
+    assert json.loads((tmp_path / "a.csv.manifest.json").read_text())["rows"] == 13
 
 
 def test_run_api_round_trip(tmp_path):

@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from conftest import (ALPHAS, alphas, directed_cycle_profile, random_profile,
                       strategy_profiles)
 from ncg.errors import SizeGuard
 from ncg.game import GameConfig, StrategyProfile, build_graph, social_cost
-from ncg.equilibrium import (best_response_dynamics, best_response_exact,
+from ncg.equilibrium import (_buys_masks, _improving_move, _mask_to_tuple,
+                             best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
                              search_nontree_equilibria, verify_witness)
@@ -38,6 +39,12 @@ class TestBestResponse:
         cfg = GameConfig(21, Fraction(5))
         with pytest.raises(SizeGuard):
             best_response_exact(cfg, StrategyProfile.empty(21), 0)
+
+    @pytest.mark.parametrize("v", [3, 7, -1])
+    def test_agent_out_of_range(self, v):
+        cfg = GameConfig(3, Fraction(5))
+        with pytest.raises(ValueError, match="out of range"):
+            best_response_exact(cfg, directed_cycle_profile(3), v)
 
     @given(strategy_profiles(max_n=5), alphas)
     @settings(max_examples=60, deadline=None)
@@ -139,6 +146,52 @@ class TestImprovingMoveHeuristic:
             if w is not None:
                 assert verify_witness(cfg, profile, w)
                 assert not is_nash(cfg, profile).is_nash
+
+
+def _single_link_moves(n, buys, v):
+    """Drop each owned link, buy each missing link, then each (drop, buy)
+    swap, all in ascending index order, as new purchase sets of v."""
+    adj = oracles.adjacency(n, buys)
+    owned = sorted(buys[v])
+    missing = [w for w in range(n) if w != v and w not in adj[v]]
+    yield from (set(buys[v]) - {u} for u in owned)
+    yield from (set(buys[v]) | {w} for w in missing)
+    yield from ((set(buys[v]) - {u}) | {w} for u in owned for w in missing)
+
+
+class TestImprovingMoveDecider:
+    """The one per-agent decider against brute-force pricing in oracles."""
+
+    @given(strategy_profiles(max_n=6), alphas)
+    @example(StrategyProfile.from_sets([set(), {2}, set()]), Fraction(5))   # 0 isolated
+    @example(StrategyProfile.from_sets([{1}, {0, 2}, set()]), Fraction(1))  # 0-1 bought twice
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, profile, alpha):
+        n, buys = profile.n, profile.buys
+        buys_masks = _buys_masks(profile)
+        adj = build_graph(profile).adj
+        p, q = alpha.numerator, alpha.denominator
+
+        def cost_with(v, strategy):
+            trial = list(buys)
+            trial[v] = strategy
+            return oracles.agent_cost(n, alpha, trial, v)
+
+        for v in range(n):
+            current = oracles.agent_cost(n, alpha, buys, v)
+            first = next((s for s in _single_link_moves(n, buys, v)
+                          if cost_with(v, s) < current), None)
+            single = _improving_move(p, q, n, adj, buys_masks, v, False)
+            exact = _improving_move(p, q, n, adj, buys_masks, v, True)
+            assert (exact is None) == (oracles.best_cost(n, alpha, buys, v) >= current)
+            assert (None if single is None else set(_mask_to_tuple(single[0]))) == first
+            if first is not None:
+                assert exact == single  # the exact decider tries single links first
+            for move in (single, exact):
+                if move is not None:
+                    mask, k, e = move
+                    assert k == bin(mask).count("1")
+                    assert alpha * k + e == cost_with(v, _mask_to_tuple(mask)) < current
 
 
 class TestDynamics:

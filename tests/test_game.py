@@ -25,6 +25,16 @@ class TestConfigAndProfileInvariants:
         with pytest.raises(ValueError):
             GameConfig(3, Fraction(-1, 2))
 
+    @pytest.mark.parametrize("n, alpha", [
+        (True, 2),             # bool is an int subclass, not an agent count
+        (3, True),
+        (3, 0.1),              # would silently become 3602879701896397/2^55
+        (3, 2.0),              # even an integral float is not exact input
+    ])
+    def test_bool_and_float_inputs_rejected(self, n, alpha):
+        with pytest.raises(ValueError):
+            GameConfig(n, alpha)
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             StrategyProfile.from_sets([{0}, set()])  # self purchase
