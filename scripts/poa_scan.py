@@ -13,6 +13,7 @@ import csv
 import sys
 from fractions import Fraction
 
+from ncg.cli import _exact_rational
 from ncg.game import GameConfig
 from ncg.optimum import price_of_anarchy
 
@@ -24,7 +25,7 @@ DEFAULT_GRID = [Fraction(x) for x in
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--alpha", type=Fraction, nargs="*", default=DEFAULT_GRID)
+    parser.add_argument("--alpha", type=_exact_rational, nargs="*", default=DEFAULT_GRID)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, metavar="FILE.csv")
     args = parser.parse_args(argv)

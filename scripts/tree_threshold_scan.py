@@ -15,6 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
+from ncg.cli import _exact_rational
 from ncg.equilibrium import enumerate_equilibria
 from ncg.game import GameConfig
 
@@ -27,7 +28,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-min", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=5)
-    parser.add_argument("--alpha", type=Fraction, nargs="*", default=DEFAULT_GRID)
+    parser.add_argument("--alpha", type=_exact_rational, nargs="*", default=DEFAULT_GRID)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, metavar="FILE.csv")
     args = parser.parse_args(argv)

@@ -7,7 +7,8 @@ CSVs regardless of worker count; only manifest timestamps differ.
 
 Exit codes: 0 success (including verify reporting "not an equilibrium",
 and a run whose reader closed stdout early), 2 usage errors, 3 invalid
-configuration, 4 profile parse errors, 5 instance-size guard.
+configuration (an unreadable --in or unwritable --out included), 4 profile
+parse errors, 5 instance-size guard.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -31,7 +33,7 @@ from .equilibrium import (best_response_dynamics, best_response_exact,
                           search_nontree_equilibria)
 from .optimum import optimum_analytic, price_of_anarchy
 from .profiles import load_profile
-from .structure import audit_equilibrium_structure
+from .structure import audit_equilibrium_structure, render_report
 
 MODES = ("verify", "best-response", "dynamics", "enumerate", "search",
          "audit", "poa", "optimum")
@@ -92,8 +94,6 @@ def _fmt(value) -> str:
         return "inf"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -123,7 +123,18 @@ def _game_config(config: ExperimentConfig) -> GameConfig:
 def _loaded(config: ExperimentConfig):
     if not config.input:
         raise ValueError(f"mode {config.mode} needs --in PROFILE")
-    return load_profile(config.input)
+    try:
+        return load_profile(config.input)
+    except OSError as exc:
+        raise ValueError(f"cannot read {config.input}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _rows_verify(config):
@@ -217,7 +228,6 @@ def _rows_audit(config):
     game, profile = _loaded(config)
     report = audit_equilibrium_structure(game, profile)
     if config.show_witnesses:
-        from .structure import render_report
         _emit(render_report(report))
     profile_id = profile.ownership_code()
     rows = []
@@ -284,12 +294,12 @@ def run(config: ExperimentConfig) -> RunManifest:
     started = time.perf_counter()
     rows, extra = _RUNNERS[config.mode](config)
     schema = CSV_SCHEMAS[config.mode]
-    with open(config.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=schema, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    with open(config.output, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=schema, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(config.output, buf.getvalue())
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     manifest = RunManifest(
         tool="ncg", version=__version__, mode=config.mode,
         config={
@@ -303,8 +313,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         sha256=digest, wall_time_s=round(time.perf_counter() - started, 6),
         created_utc=datetime.now(timezone.utc).isoformat(),
         extra=extra)
-    with open(config.output + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+    _write_text(config.output + ".manifest.json", manifest.to_json())
     return manifest
 
 

@@ -8,6 +8,7 @@ from the exact rational alpha, never floats.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -406,12 +407,7 @@ def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationRes
     total = 3 ** pair_count
     chunks = _split_range(total, workers)
     args = [(n, config.alpha, lo, hi) for lo, hi in chunks]
-    if workers > 1 and len(args) > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_enumerate_range, args)
-    else:
-        parts = [_enumerate_range(a) for a in args]
+    parts = _parallel_map(_enumerate_range, args, workers)
     codes = sorted(code for part in parts for code in part)
     profiles = tuple(StrategyProfile.from_ownership_code(n, c) for c in codes)
     tree_count = 0
@@ -428,6 +424,17 @@ def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationRes
         worst_cost=max(costs) if costs else None,
         best_cost=min(costs) if costs else None,
         canonical_forms=canon)
+
+
+def _parallel_map(func, args: list, workers: int) -> list:
+    """``[func(a) for a in args]``, on a pool of forked processes when more
+    than one is useful: never more than ``workers``, chunks or cores."""
+    procs = min(workers, len(args), os.cpu_count() or 1)
+    if procs < 2:
+        return [func(a) for a in args]
+    import multiprocessing as mp
+    with mp.get_context("fork").Pool(procs) as pool:
+        return pool.map(func, args)
 
 
 def _split_range(total: int, workers: int) -> list:
@@ -489,11 +496,6 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     args = [(config.n, config.alpha, seed, it) for it in range(iterations)]
-    if workers > 1 and iterations > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_search_iteration, args, chunksize=max(1, iterations // (4 * workers)))
-    else:
-        results = [_search_iteration(a) for a in args]
+    results = _parallel_map(_search_iteration, args, workers)
     codes = sorted({code for code in results if code is not None})
     return tuple(StrategyProfile.from_ownership_code(config.n, c) for c in codes)

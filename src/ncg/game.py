@@ -19,7 +19,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from .errors import SizeGuard
+
 INF = float("inf")
+# Checked before anything of size n is allocated; far above any exact use.
+MAX_AGENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,8 @@ class GameConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if self.n > MAX_AGENTS:
+            raise SizeGuard(f"n must be <= {MAX_AGENTS} agents, got {self.n}")
         # A float is already rounded (0.1 is not 1/10), so only exact types count.
         if isinstance(self.alpha, (bool, float)):
             raise ValueError(f"alpha must be an exact rational, got {self.alpha!r}")

@@ -55,6 +55,7 @@ def parse_profile(text: str) -> tuple[GameConfig, StrategyProfile]:
         raise BadRational(f"unparseable rational {parts[1]!r}", no) from None
     if alpha <= 0:
         raise BadRational(f"alpha must be > 0, got {alpha}", no)
+    config = GameConfig(n, alpha)  # bounds n before buys is allocated
 
     buys: list[set] = [set() for _ in range(n)]
     seen: set[tuple[int, int]] = set()
@@ -74,7 +75,7 @@ def parse_profile(text: str) -> tuple[GameConfig, StrategyProfile]:
             raise DuplicateBuy(f"duplicate directive {line!r}", no)
         seen.add((u, v))
         buys[u].add(v)
-    return GameConfig(n, alpha), StrategyProfile.from_sets(buys)
+    return config, StrategyProfile.from_sets(buys)
 
 
 def serialize_profile(config: GameConfig, profile: StrategyProfile) -> str:

@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ncg.cli import ExperimentConfig, main, run
-from ncg.game import GameConfig, StrategyProfile
+from conftest import alphas, strategy_profiles
+from ncg.cli import MODES, ExperimentConfig, main, run
+from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
 from ncg.profiles import parse_profile, serialize_profile
 
 STAR3 = "ncg v1\nn 3\nalpha 5\nbuy 0 1\nbuy 2 1\n"
@@ -69,6 +73,40 @@ class TestVerifyMode:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert "not an exact rational: '1/0'" in capsys.readouterr().err
+
+    def test_unreadable_input_exit_code(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ncg")
+        rc = main(["verify", "--in", missing, "--out", str(tmp_path / "v.csv")])
+        assert rc == 3
+        assert f"invalid configuration: cannot read {missing}" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "x.csv")
+        rc = main(["optimum", "--n", "3", "--alpha", "2", "--out", out])
+        assert rc == 3
+        assert f"invalid configuration: cannot write {out}" in capsys.readouterr().err
+
+    def test_unwritable_manifest_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        os.mkdir(out + ".manifest.json")
+        rc = main(["optimum", "--n", "3", "--alpha", "2", "--out", out])
+        assert rc == 3
+        assert f"cannot write {out}.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["optimum", "dynamics"])
+    def test_agent_count_bound_exit_code(self, tmp_path, capsys, mode):
+        rc = main([mode, "--n", str(MAX_AGENTS + 1), "--alpha", "2",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 5
+        assert f"n must be <= {MAX_AGENTS} agents" in capsys.readouterr().err
+
+    def test_profile_agent_count_bound_exit_code(self, tmp_path, capsys):
+        # The buy line is out of range for any n: the bound must fire first.
+        text = f"ncg v1\nn {MAX_AGENTS + 1}\nalpha 1\nbuy 0 {MAX_AGENTS + 5}\n"
+        rc = main(["verify", "--in", write(tmp_path, "big.ncg", text),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 5
+        assert f"n must be <= {MAX_AGENTS} agents" in capsys.readouterr().err
 
 
 class TestRowsAndManifests:
@@ -226,3 +264,61 @@ def test_serialized_profiles_from_rows_verify(tmp_path):
         cfg2, profile2 = parse_profile(text)
         assert profile2 == profile
         assert is_nash(cfg2, profile2).is_nash
+
+
+# Flag values for the contract test: valid ones at n <= 5 and malformed,
+# out-of-range or oversized ones.
+_FLAG_VALUES = {
+    "--n": ["1", "2", "3", "4", "5", "-1", "0", "x", str(MAX_AGENTS + 1)],
+    "--alpha": ["1/2", "1", "2", "5/2", "25", "1/0", "abc", "0", "-1"],
+    "--workers": ["1", "2"],
+    "--seed": ["0", "7", "-3"],
+    "--in": ["p.ncg", "p.ncg", "p.ncg", "missing.ncg", "."],
+    "--agent": ["0", "1", "4", "-1", "9", "x"],
+    "--budget": ["5", "-1", "0"],
+    "--iters": ["1", "3", "0"],
+    "--schedule": ["rr", "rand", "bogus"],
+}
+_MODE_FLAGS = {"best-response": ["--agent"], "dynamics": ["--budget", "--schedule"],
+               "search": ["--iters"]}
+_BAD_LINES = ["buy 0 0", "buy 0 9", "buy 0", "n x", "n 0", "alpha 1/0",
+              "alpha -1", "ncg v2", f"n {MAX_AGENTS + 1}", "buy 1 0"]
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for a random mode plus the profile text behind its --in."""
+    profile = draw(strategy_profiles(max_n=5))
+    lines = serialize_profile(GameConfig(profile.n, draw(alphas)), profile).splitlines()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_BAD_LINES))]
+    mode = draw(st.sampled_from(MODES))
+    argv = [mode]
+    for flag in ["--n", "--alpha", "--in"] + _MODE_FLAGS.get(mode, []):
+        if draw(st.integers(0, 7)):  # mostly present: few runs stop at a missing flag
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    for flag in ("--workers", "--seed"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    if mode == "audit" and draw(st.booleans()):
+        argv.append("--witnesses")
+    argv += ["--out", draw(st.sampled_from(["o.csv", "o.csv", "nodir/o.csv"]))]
+    return argv, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_calls())
+def test_cli_contract_exit_codes(call):
+    argv, text = call
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "p.ncg"), "w") as fh:
+            fh.write(text)
+        argv = [os.path.join(tmp, a) if a.endswith((".ncg", ".csv")) or a == "."
+                else a for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            rc = exc.code
+        assert rc in (0, 2, 3, 4, 5), argv

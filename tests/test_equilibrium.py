@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -408,3 +410,39 @@ class TestNoDoublePurchaseAtRest:
         for alpha in (Fraction(5, 2), Fraction(25)):
             for profile in enumerate_equilibria(GameConfig(4, alpha)).equilibria:
                 assert not _has_double_purchase(profile)
+
+
+class _RecordingContext:
+    """Stands in for a fork context: records each pool size, forks nothing."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return _SerialPool()
+
+
+class _SerialPool:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, args):
+        return [func(a) for a in args]
+
+
+def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
+    serial_enum = enumerate_equilibria(GameConfig(3, Fraction(2)))
+    serial_search = search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5,
+                                              iterations=3)
+    ctx = _RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert enumerate_equilibria(GameConfig(3, Fraction(2)), workers=100_000) == serial_enum
+    assert search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5, iterations=3,
+                                     workers=100_000) == serial_search
+    # 27 one-state chunks on 4 cores, then 3 iterations on 4 cores
+    assert ctx.sizes == [4, 3]

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import alphas, strategy_profiles
-from ncg.game import (INF, GameConfig, StrategyProfile, agent_cost,
+from ncg.errors import SizeGuard
+from ncg.game import (INF, MAX_AGENTS, GameConfig, StrategyProfile, agent_cost,
                       all_pairs_distances, build_graph, metrics, social_cost)
 
 
@@ -34,6 +35,11 @@ class TestConfigAndProfileInvariants:
     def test_bool_and_float_inputs_rejected(self, n, alpha):
         with pytest.raises(ValueError):
             GameConfig(n, alpha)
+
+    def test_agent_count_bound(self):
+        assert GameConfig(MAX_AGENTS, Fraction(1)).n == MAX_AGENTS
+        with pytest.raises(SizeGuard):
+            GameConfig(MAX_AGENTS + 1, Fraction(1))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

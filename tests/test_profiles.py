@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 
 from conftest import alphas, strategy_profiles
-from ncg.errors import (BadHeader, BadRational, BadVertexIndex, DuplicateBuy)
-from ncg.game import GameConfig, StrategyProfile
+from ncg.errors import (BadHeader, BadRational, BadVertexIndex, DuplicateBuy,
+                        SizeGuard)
+from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
 from ncg.profiles import parse_profile, serialize_profile
 
 
@@ -57,3 +58,10 @@ def test_round_trip(profile, alpha):
     cfg2, profile2 = parse_profile(text)
     assert cfg2 == cfg and profile2 == profile
     assert serialize_profile(cfg2, profile2) == text
+
+
+def test_agent_count_bound_before_buy_lines():
+    # The buy line is out of range for any n, so only a bound checked before
+    # the purchase sets are read can raise SizeGuard here.
+    with pytest.raises(SizeGuard):
+        parse_profile(f"ncg v1\nn {MAX_AGENTS + 1}\nalpha 1\nbuy 0 {MAX_AGENTS + 5}\n")

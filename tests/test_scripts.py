@@ -1,0 +1,48 @@
+"""Smoke tests of the experiment scripts, run in-process on small grids."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return [",".join(row) for row in csv.reader(fh)]
+
+
+def test_poa_scan_rows(tmp_path):
+    out = tmp_path / "poa.csv"
+    assert load_script("poa_scan").main(
+        ["--n", "4", "--alpha", "1", "2", "--out", str(out)]) == 0
+    assert csv_rows(out) == ["alpha,n,worst_eq_cost,opt_cost,poa,exhaustive",
+                             "1,4,13,10,13/10,true",
+                             "2,4,16,13,16/13,true"]
+
+
+def test_tree_threshold_scan_rows(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert load_script("tree_threshold_scan").main(
+        ["--n-min", "3", "--n-max", "4", "--alpha", "1", "25", "--out", str(out)]) == 0
+    assert csv_rows(out) == [
+        "n,alpha,equilibria,tree_count,nontree_count,worst_cost,best_cost",
+        "3,1,20,12,8,7,6", "3,25,12,12,0,55,55",
+        "4,1,62,56,6,13,10", "4,25,56,56,0,85,82"]
+
+
+@pytest.mark.parametrize("name", ["poa_scan", "tree_threshold_scan"])
+def test_zero_denominator_alpha_is_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(["--alpha", "1/0"])
+    assert exc.value.code == 2
+    assert "not an exact rational: '1/0'" in capsys.readouterr().err

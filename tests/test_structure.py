@@ -1,13 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
+import ncg.structure
 from conftest import (directed_cycle_profile, profile_from_edges,
                       random_connected_graph_edges)
 from ncg.errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from ncg.game import GameConfig, StrategyProfile, build_graph
+from ncg.game import GameConfig, StrategyProfile, all_pairs_distances, build_graph
 from ncg.equilibrium import is_nash
 from ncg.structure import (audit_equilibrium_structure, biconnected_components,
                            closest_assignment, component_is_cycle,
@@ -167,6 +172,63 @@ class TestMinCycles:
                 if mc is not None:
                     assert is_min_cycle(g, mc.vertices)
                     assert e[0] in mc.vertices and e[1] in mc.vertices
+
+
+@st.composite
+def owned_graphs(draw, max_n=10):
+    """Induced graphs of profiles with n <= max_n, from sparse to dense, with
+    random buyers and some double purchases."""
+    n = draw(st.integers(1, max_n))
+    alphabet = "0" * draw(st.integers(1, 8)) + "123"  # pair digit: none, u, v, both
+    code = draw(st.lists(st.sampled_from(alphabet), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    return build_graph(StrategyProfile.from_ownership_code(n, "".join(code)))
+
+
+# A 5-cycle with a chord and a plain 5-cycle sharing vertex 4, and a
+# triangle hung off vertex 0 by the bridge (0, 9).
+_BLOCKS = build_graph(profile_from_edges(12, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (4, 5), (5, 6), (6, 7),
+    (7, 8), (4, 8), (0, 9), (9, 10), (10, 11), (9, 11)]))
+
+
+class TestMinCycleTable:
+    """The properties that let the audit read one graph-wide min-cycle table
+    and distance table in place of per-component recomputation."""
+
+    @given(owned_graphs())
+    @example(_BLOCKS)
+    def test_shortest_cycle_through_an_edge_is_min(self, g):
+        for e in sorted(g.edges):
+            mc = min_cycle_through_edge(g, e)
+            if mc is not None:
+                assert is_min_cycle(g, mc)
+
+    @given(owned_graphs())
+    @example(_BLOCKS)
+    def test_block_subgraph_gives_the_same_min_cycles(self, g):
+        for comp in biconnected_components(g):
+            sub = component_subgraph(g, comp)
+            for e in sorted(comp.edges):
+                assert min_cycle_through_edge(sub, e) == min_cycle_through_edge(g, e)
+
+    @given(owned_graphs())
+    @example(_BLOCKS)
+    def test_block_subgraph_keeps_distances(self, g):
+        table = all_pairs_distances(g)
+        for comp in biconnected_components(g):
+            sub_table = all_pairs_distances(component_subgraph(g, comp))
+            for u, v in combinations(sorted(comp.vertices), 2):
+                assert sub_table.dist(u, v) == table.dist(u, v)
+
+    @given(owned_graphs())
+    @example(_BLOCKS)
+    def test_shortest_cycle_is_first_shortest_in_edge_order(self, g):
+        cycles = [mc for mc in (min_cycle_through_edge(g, e) for e in sorted(g.edges))
+                  if mc is not None]
+        shortest = [mc.vertices for mc in cycles
+                    if mc.length == min(c.length for c in cycles)]
+        assert shortest_cycle(g) == (shortest[0] if shortest else None)
 
 
 class TestDirectedCycles:
@@ -395,6 +457,23 @@ class TestAudit:
         rec = report.record("shopping_single_nontree")
         assert rec.applicable and rec.passed is False
         assert any(w.payload[0] == 1 for w in rec.witnesses)
+
+    def test_shared_objects_built_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("build_graph", "all_pairs_distances", "shortest_path_tree",
+                     "min_cycle_through_edge", "is_min_cycle", "component_subgraph",
+                     "shopping_vertices", "shortest_cycle"):
+            def counted(*args, _fn=getattr(ncg.structure, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ncg.structure, name, counted)
+        profile = profile_from_edges(12, _BLOCKS.edges)
+        assert len(biconnected_components(_BLOCKS)) == 3
+        report = audit_equilibrium_structure(GameConfig(12, Fraction(25)), profile)
+        assert report.record("shopping_lca_gap").applicable
+        assert calls == {"build_graph": 1, "all_pairs_distances": 1,
+                         "shortest_path_tree": 1,
+                         "min_cycle_through_edge": len(_BLOCKS.edges)}
 
     def test_witnesses_reverify(self):
         cfg = GameConfig(4, Fraction(5))
