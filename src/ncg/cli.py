@@ -130,10 +130,16 @@ def _loaded(config: ExperimentConfig):
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write through a temp file in the target's directory, renamed over the
+    target, so a failed write leaves neither a partial target nor the temp."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -110,13 +110,7 @@ def _ecc_deviation(base_adj, v: int, smask: int, n: int):
 
 
 def _buys_masks(profile: StrategyProfile) -> list:
-    masks = []
-    for s in profile.buys:
-        m = 0
-        for u in s:
-            m |= 1 << u
-        masks.append(m)
-    return masks
+    return [sum(1 << u for u in s) for s in profile.buys]
 
 
 def _adj_of(buys_masks) -> list:
@@ -131,16 +125,10 @@ def _adj_of(buys_masks) -> list:
 
 
 def _mask_to_tuple(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
 
 
-def _scan_best_response(p: int, q: int, base_adj, v: int, n: int,
-                        bound, stop_at_first: bool):
+def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
     """Scan all purchase sets of v in (size, lexicographic) order.
 
     alpha = p/q; costs compare as integers, alpha*k + e < alpha*k' + e'
@@ -148,10 +136,12 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int,
     whose scaled cost p*k + q*e is below ``bound`` (INF for no bound), or
     None if there is none. The scan order is (size, lex) ascending with
     strict replacement, so the minimum is also the fewest-purchases-then-
-    lex tie-break winner. With stop_at_first the scan returns the first
-    set below bound. Sizes whose creation cost alone rules out a win are
-    pruned (usage >= 1 for any reachable vertex set).
+    lex tie-break winner. Sizes whose creation cost alone rules out a win
+    are pruned (usage >= 1 for any reachable vertex set). The only
+    exhaustive scan, so the only place that enforces BEST_RESPONSE_MAX_N.
     """
+    if n > BEST_RESPONSE_MAX_N:
+        raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
     others = [u for u in range(n) if u != v]
     best = None
     for k in range(len(others) + 1):
@@ -165,8 +155,6 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int,
             scaled = p * k + q * e  # INF when e is
             if scaled < bound:
                 best = smask, k, e
-                if stop_at_first:
-                    return best
                 bound = scaled
     return best
 
@@ -213,7 +201,14 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
             e = _ecc_deviation(base, v, cur_mask ^ drop | low, n)
             if p * cur_k + q * e < cur_scaled:
                 return cur_mask ^ drop | low, cur_k, e
-    return _scan_best_response(p, q, base, v, n, cur_scaled, True) if exact else None
+    return _scan_best_response(p, q, base, v, n, cur_scaled) if exact else None
+
+
+def _best_deviation(p: int, q: int, n: int, adj, buys_masks, v: int):
+    """v's cheapest strictly improving set as (mask, k, e), or None at best
+    response; the scan order makes it best_response_exact's strategy."""
+    cur_scaled = p * bin(buys_masks[v]).count("1") + q * bfs(adj, 1 << v, (1 << n) - 1)
+    return _scan_best_response(p, q, _base_adj(adj, buys_masks, v), v, n, cur_scaled)
 
 
 def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
@@ -223,8 +218,6 @@ def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
     purchase tuple. Returns (strategy tuple, cost).
     """
     n = config.n
-    if n > BEST_RESPONSE_MAX_N:
-        raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
     if profile.n != n:
         raise ValueError("profile size does not match config")
     if not 0 <= v < n:
@@ -232,28 +225,26 @@ def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
     base = _base_adj(build_graph(profile).adj, _buys_masks(profile), v)
     p, q = config.alpha.numerator, config.alpha.denominator
     # Never None: buying every link gives usage <= 1.
-    mask, k, e = _scan_best_response(p, q, base, v, n, INF, False)
+    mask, k, e = _scan_best_response(p, q, base, v, n, INF)
     return _mask_to_tuple(mask), config.alpha * k + e
 
 
 def is_nash(config: GameConfig, profile: StrategyProfile) -> EquilibriumReport:
     """Exact equilibrium decision; a failing profile gets an optimal-deviation witness."""
     n = config.n
-    if n > BEST_RESPONSE_MAX_N:
-        raise SizeGuard(f"exhaustive verification needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
     adj = build_graph(profile).adj
     buys_masks = _buys_masks(profile)
     p, q = config.alpha.numerator, config.alpha.denominator
-    current = tuple(config.alpha * len(s) + eccentricity(adj, v, n)
-                    for v, s in enumerate(profile.buys))
     for v in range(n):
-        if _improving_move(p, q, n, adj, buys_masks, v, True) is not None:
-            # The full scan gives the pinned (size, lex) tie-break witness.
-            new_strategy, new_cost = best_response_exact(config, profile, v)
-            witness = DeviationWitness(v, profile.buys[v], new_strategy,
-                                       current[v], new_cost)
+        move = _best_deviation(p, q, n, adj, buys_masks, v)
+        if move is not None:
+            mask, k, e = move
+            old = config.alpha * len(profile.buys[v]) + eccentricity(adj, v, n)
+            witness = DeviationWitness(v, profile.buys[v], _mask_to_tuple(mask),
+                                       old, config.alpha * k + e)
             return EquilibriumReport(is_nash=False, witness=witness, per_agent_best=None)
-    return EquilibriumReport(is_nash=True, witness=None, per_agent_best=current)
+    return EquilibriumReport(is_nash=True, witness=None, per_agent_best=tuple(
+        config.alpha * len(s) + eccentricity(adj, v, n) for v, s in enumerate(profile.buys)))
 
 
 def verify_witness(config: GameConfig, profile: StrategyProfile,
@@ -307,20 +298,26 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
     if initial.n != n:
         raise ValueError("initial profile size does not match config")
     rng = random.Random(_derive_seed(seed)) if schedule == "uniform-random" else None
-    profile = initial
+    alpha = config.alpha
+    p, q = alpha.numerator, alpha.denominator
+    buys_masks = _buys_masks(initial)
+    adj = _adj_of(buys_masks)
     steps: list[DynamicsStep] = []
     quiet_agents: set[int] = set()
-    visited = {(initial.buys, 0)}
+    visited = {(tuple(buys_masks), 0)}
     outcome = "budget-exhausted"
     position = 0
     for _ in range(budget):
         agent = rng.randrange(n) if rng is not None else position % n
         position += 1
-        best_s, best_c = best_response_exact(config, profile, agent)
-        cur = agent_cost(config, profile, agent).total
-        if best_c < cur:
-            profile = profile.with_strategy(agent, best_s)
-            steps.append(DynamicsStep(len(steps), agent, cur, best_c, tuple(best_s)))
+        move = _best_deviation(p, q, n, adj, buys_masks, agent)
+        if move is not None:
+            mask, k, e = move
+            cur = alpha * bin(buys_masks[agent]).count("1") + eccentricity(adj, agent, n)
+            buys_masks[agent] = mask
+            adj = _adj_of(buys_masks)
+            steps.append(DynamicsStep(len(steps), agent, cur, alpha * k + e,
+                                      _mask_to_tuple(mask)))
             quiet_agents = set()
         else:
             quiet_agents.add(agent)
@@ -328,26 +325,29 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
             outcome = "converged"
             break
         if rng is None:
-            state = (profile.buys, position % n)
+            state = (tuple(buys_masks), position % n)
             if state in visited:
                 outcome = "cycle"
                 break
             visited.add(state)
-    return DynamicsTrace(steps=tuple(steps), outcome=outcome, final_profile=profile)
+    final = StrategyProfile(tuple(_mask_to_tuple(m) for m in buys_masks))
+    return DynamicsTrace(steps=tuple(steps), outcome=outcome, final_profile=final)
+
+
+def _digit_table(buys_masks, n: int) -> list:
+    """``digit[i][j]``: ownership-code digit of (i, j), 1 if i buys j + 2 if j buys i."""
+    return [[str((buys_masks[i] >> j & 1) + 2 * (buys_masks[j] >> i & 1))
+             for j in range(n)] for i in range(n)]
 
 
 def isomorphism_canonical_code(profile: StrategyProfile) -> str:
-    """Lexicographically minimal ownership code over all vertex relabelings."""
+    """Lexicographically minimal ownership code over all vertex relabelings;
+    relabeled by p, the pair (a, b) carries the digit of (p[a], p[b])."""
     n = profile.n
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = [set() for _ in range(n)]
-        for i, s in enumerate(profile.buys):
-            relabeled[perm[i]] = {perm[j] for j in s}
-        code = StrategyProfile.from_sets(relabeled).ownership_code()
-        if best is None or code < best:
-            best = code
-    return best if best is not None else ""
+    digit = _digit_table(_buys_masks(profile), n)
+    pairs = list(combinations(range(n), 2))
+    return min("".join(digit[p[a]][p[b]] for a, b in pairs)
+               for p in permutations(range(n)))
 
 
 def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
@@ -476,12 +476,10 @@ def _search_iteration(args):
         else:
             break
     edges = sum(bin(m).count("1") for m in adj) // 2
-    if bfs(adj, 1, (1 << n) - 1) == INF or edges == n - 1:
-        return None
-    profile = StrategyProfile(tuple(_mask_to_tuple(m) for m in buys_masks))
-    if is_nash(GameConfig(n, alpha), profile).is_nash:
-        return profile.ownership_code()
-    return None
+    if edges == n - 1 or not _profile_is_nash_masks(p, q, n, adj, buys_masks):
+        return None  # a tree, disconnected, or not an equilibrium
+    digit = _digit_table(buys_masks, n)
+    return "".join(digit[u][v] for u, v in combinations(range(n), 2))
 
 
 def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
@@ -495,6 +493,8 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if config.n > BEST_RESPONSE_MAX_N:
+        raise SizeGuard(f"search needs n <= {BEST_RESPONSE_MAX_N}, got {config.n}")
     args = [(config.n, config.alpha, seed, it) for it in range(iterations)]
     results = _parallel_map(_search_iteration, args, workers)
     codes = sorted({code for code in results if code is not None})

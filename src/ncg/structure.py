@@ -413,14 +413,20 @@ def closest_assignment(graph: OwnedGraph, component: BiconnectedComponent) -> Cl
     """
     if not graph.is_connected():
         raise Disconnected("closest assignment needs a connected graph")
+    rows = {h: distances_from(graph.adj, h, graph.n) for h in component.vertices}
+    return _closest_assignment(rows, component, graph.n)
+
+
+def _closest_assignment(rows, component: BiconnectedComponent, n: int) -> ClosestAssignment:
+    """closest_assignment from distance rows of a connected graph; ``rows[h]``
+    must hold the distances from every component vertex h."""
     hs = sorted(component.vertices)
-    dists = {h: distances_from(graph.adj, h, graph.n) for h in hs}
     assignment = []
-    for w in range(graph.n):
+    for w in range(n):
         best_h, best_d = None, None
         tie = False
         for h in hs:
-            d = dists[h][w]
+            d = rows[h][w]
             if best_d is None or d < best_d:
                 best_h, best_d, tie = h, d, False
             elif d == best_d:
@@ -602,7 +608,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     def run_attachment():
         bad = []
         for comp in comps:
-            ca = closest_assignment(graph, comp)
+            ca = _closest_assignment(table.rows, comp, graph.n)
             for v in sorted(comp.vertices):
                 bound = mets.ecc[v] + 2 - alpha
                 for w in sorted(ca.s_of(v)):

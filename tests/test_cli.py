@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ncg
 from conftest import alphas, strategy_profiles
 from ncg.cli import MODES, ExperimentConfig, main, run
 from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
@@ -17,6 +18,11 @@ from ncg.profiles import parse_profile, serialize_profile
 
 STAR3 = "ncg v1\nn 3\nalpha 5\nbuy 0 1\nbuy 2 1\n"
 TRIANGLE = "ncg v1\nn 3\nalpha 5\nbuy 0 1\nbuy 1 2\nbuy 2 0\n"
+
+
+# Child interpreters import the same ncg as this process, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(ncg.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 def read_csv(path):
@@ -92,6 +98,34 @@ class TestVerifyMode:
         rc = main(["optimum", "--n", "3", "--alpha", "2", "--out", out])
         assert rc == 3
         assert f"cannot write {out}.manifest.json" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        rc = main(["optimum", "--n", "3", "--alpha", "2", "--out", str(out)])
+        assert rc == 3
+        assert f"cannot write {out}: No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["x.csv"]
+        monkeypatch.undo()
+        assert main(["optimum", "--n", "3", "--alpha", "2", "--out", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.csv.manifest.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "21", "--alpha", "1", "--iters", "1", "--seed", "1"],
+        ["--n", "24", "--alpha", "1/2", "--iters", "2", "--seed", "2"]])
+    def test_search_size_guard_exit_code(self, tmp_path, capsys, argv):
+        # Exact verification bounds search at n <= 20 before any descent,
+        # whatever the seed and alpha.
+        rc = main(["search", *argv, "--out", str(tmp_path / "s.csv")])
+        assert rc == 5
+        assert "n <= 20" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("mode", ["optimum", "dynamics"])
     def test_agent_count_bound_exit_code(self, tmp_path, capsys, mode):
@@ -222,7 +256,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ncg.cli", "enumerate", "--n", "3",
          "--alpha", "25", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -236,7 +270,7 @@ def test_closed_stdout_still_writes_outputs(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "ncg.cli", "audit", "--witnesses",
              "--in", write(tmp_path, "t.ncg", TRIANGLE), "--out", str(out)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
     finally:
         os.close(write_end)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr

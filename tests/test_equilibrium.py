@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (ALPHAS, alphas, directed_cycle_profile, random_profile,
                       strategy_profiles)
 from ncg.errors import SizeGuard
 from ncg.game import GameConfig, StrategyProfile, build_graph, social_cost
-from ncg.equilibrium import (_buys_masks, _improving_move, _mask_to_tuple,
+from ncg.equilibrium import (DynamicsStep, DynamicsTrace, _buys_masks,
+                             _derive_seed, _improving_move, _mask_to_tuple,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
@@ -41,6 +43,13 @@ class TestBestResponse:
         cfg = GameConfig(21, Fraction(5))
         with pytest.raises(SizeGuard):
             best_response_exact(cfg, StrategyProfile.empty(21), 0)
+
+    @pytest.mark.parametrize("decide", [is_nash, best_response_dynamics])
+    def test_size_guard_in_every_exact_loop(self, decide):
+        # The guard lives in the one scan, which each loop reaches at agent 0.
+        path = StrategyProfile.from_sets([{i + 1} for i in range(20)] + [set()])
+        with pytest.raises(SizeGuard):
+            decide(GameConfig(21, Fraction(5)), path)
 
     @pytest.mark.parametrize("v", [3, 7, -1])
     def test_agent_out_of_range(self, v):
@@ -367,6 +376,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_nontree_equilibria(GameConfig(4, Fraction(1)), seed=0, iterations=0)
 
+    @pytest.mark.parametrize("n, alpha, seed", [(21, Fraction(1), 1), (24, Fraction(1, 2), 2)])
+    def test_size_guard_before_descent(self, n, alpha, seed):
+        with pytest.raises(SizeGuard):
+            search_nontree_equilibria(GameConfig(n, alpha), seed=seed, iterations=1)
+
     def test_deterministic_and_worker_invariant(self):
         cfg = GameConfig(5, Fraction(1, 2))
         a = search_nontree_equilibria(cfg, seed=3, iterations=60, workers=1)
@@ -410,6 +424,98 @@ class TestNoDoublePurchaseAtRest:
         for alpha in (Fraction(5, 2), Fraction(25)):
             for profile in enumerate_equilibria(GameConfig(4, alpha)).equilibria:
                 assert not _has_double_purchase(profile)
+
+
+def _relabeling_canonical_code(profile):
+    """Reference: build and encode one StrategyProfile per relabeling."""
+    n = profile.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        relabeled = [set() for _ in range(n)]
+        for i, s in enumerate(profile.buys):
+            relabeled[perm[i]] = {perm[j] for j in s}
+        code = StrategyProfile.from_sets(relabeled).ownership_code()
+        if best is None or code < best:
+            best = code
+    return best if best is not None else ""
+
+
+def _profile_level_dynamics(config, initial, schedule, seed, budget):
+    """Reference: best_response_dynamics as a loop over StrategyProfiles,
+    with each activation priced by best_response_exact and the oracle."""
+    n, alpha = config.n, config.alpha
+    rng = random.Random(_derive_seed(seed)) if schedule == "uniform-random" else None
+    profile, steps, quiet, position = initial, [], set(), 0
+    visited = {(initial.buys, 0)}
+    outcome = "budget-exhausted"
+    for _ in range(budget):
+        agent = rng.randrange(n) if rng is not None else position % n
+        position += 1
+        best_s, best_c = best_response_exact(config, profile, agent)
+        cur = oracles.agent_cost(n, alpha, profile.buys, agent)
+        if best_c < cur:
+            profile = profile.with_strategy(agent, best_s)
+            steps.append(DynamicsStep(len(steps), agent, cur, best_c, tuple(best_s)))
+            quiet = set()
+        else:
+            quiet.add(agent)
+        if len(quiet) == n:
+            outcome = "converged"
+            break
+        if rng is None:
+            state = (profile.buys, position % n)
+            if state in visited:
+                outcome = "cycle"
+                break
+            visited.add(state)
+    return DynamicsTrace(steps=tuple(steps), outcome=outcome, final_profile=profile)
+
+
+_DOUBLED = StrategyProfile.from_sets([{1, 2}, {0}, set(), {2}])  # 0-1 bought twice
+
+
+class TestAgainstProfileLevelReferences:
+    """The mask-level loops against the profile-level code they replaced."""
+
+    @given(strategy_profiles(max_n=6))
+    @example(_DOUBLED)
+    @example(StrategyProfile.empty(0))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_code(self, profile):
+        assert isomorphism_canonical_code(profile) == _relabeling_canonical_code(profile)
+
+    @given(strategy_profiles(max_n=6), alphas,
+           st.sampled_from(["round-robin", "uniform-random"]), st.integers(0, 2 ** 32))
+    @example(_DOUBLED, Fraction(1, 2), "round-robin", 0)
+    @example(StrategyProfile.from_sets([set(), {2}, set()]), Fraction(5), "uniform-random", 3)
+    @settings(max_examples=60, deadline=None)
+    def test_dynamics(self, profile, alpha, schedule, seed):
+        cfg = GameConfig(profile.n, alpha)
+        assert (best_response_dynamics(cfg, profile, schedule, seed, budget=40)
+                == _profile_level_dynamics(cfg, profile, schedule, seed, budget=40))
+
+    @given(strategy_profiles(max_n=6), alphas)
+    @example(_DOUBLED, Fraction(2))
+    @example(StrategyProfile.from_sets([set(), {2}, set()]), Fraction(5))  # 0 isolated
+    @settings(max_examples=60, deadline=None)
+    def test_is_nash_witness_is_least_best_response(self, profile, alpha):
+        n, buys = profile.n, profile.buys
+        report = is_nash(GameConfig(n, alpha), profile)
+        current = [oracles.agent_cost(n, alpha, buys, v) for v in range(n)]
+        for v in range(n):
+            priced = []
+            for subset in oracles.powerset(u for u in range(n) if u != v):
+                trial = list(buys)
+                trial[v] = set(subset)
+                priced.append((oracles.agent_cost(n, alpha, trial, v), len(subset), subset))
+            cost, _, strategy = min(priced)
+            if cost < current[v]:
+                w = report.witness
+                assert not report.is_nash
+                assert (w.agent, w.old_strategy, w.new_strategy, w.old_cost, w.new_cost) \
+                    == (v, buys[v], strategy, current[v], cost)
+                return
+        assert report.is_nash and report.per_agent_best == tuple(current)
 
 
 class _RecordingContext:

@@ -462,7 +462,7 @@ class TestAudit:
         calls = Counter()
         for name in ("build_graph", "all_pairs_distances", "shortest_path_tree",
                      "min_cycle_through_edge", "is_min_cycle", "component_subgraph",
-                     "shopping_vertices", "shortest_cycle"):
+                     "shopping_vertices", "shortest_cycle", "distances_from"):
             def counted(*args, _fn=getattr(ncg.structure, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
