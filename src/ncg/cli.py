@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -218,6 +218,7 @@ def _rows_enumerate(config):
         "worst_cost": _fmt(result.worst_cost),
         "best_cost": _fmt(result.best_cost),
         "isomorphism_classes": len(result.canonical_forms),
+        "stats": asdict(result.stats),
     }
     return rows, extra
 

@@ -57,6 +57,16 @@ class DynamicsTrace:
 
 
 @dataclass(frozen=True)
+class EnumerationStats:
+    """Work counts of one enumeration; the same for any worker count."""
+
+    graphs: int  # labeled graphs scanned
+    connected_graphs: int  # of those, connected ones that were oriented
+    content_checks: int  # (vertex, owned set) pairs decided by the exact decider
+    orientations_tried: int  # edge-ownership assignments made while backtracking
+
+
+@dataclass(frozen=True)
 class EnumerationResult:
     alpha: Fraction
     n: int
@@ -66,6 +76,7 @@ class EnumerationResult:
     worst_cost: Fraction | None
     best_cost: Fraction | None
     canonical_forms: tuple
+    stats: EnumerationStats
 
 
 def _derive_seed(seed: int, stream: int = 0) -> int:
@@ -166,7 +177,8 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
     Single-link moves come first: drop each owned link, then buy each
     missing link, then each (drop, buy) swap, in ascending index order.
     With ``exact`` the full scan follows, so None certifies best response.
-    Allocates nothing per move: enumeration calls it on every state.
+    Allocates nothing per move: enumeration calls it once per vertex and
+    owned set of every connected graph, search once per descent step.
     """
     full = (1 << n) - 1
     cur_mask = buys_masks[v]
@@ -358,57 +370,109 @@ def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
                for v in range(n))
 
 
-def _decode_ownership(code_int: int, n: int, pairs) -> tuple:
-    """Base-3 digits over pairs -> (adjacency masks, purchase masks, digit string)."""
-    adj = [0] * n
-    buys_masks = [0] * n
-    digits = []
-    c = code_int
-    for u, v in pairs:
-        d = c % 3
-        c //= 3
-        digits.append(str(d))
-        if d:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            if d == 1:
-                buys_masks[u] |= 1 << v
-            else:
-                buys_masks[v] |= 1 << u
-    return adj, buys_masks, "".join(digits)
+def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
+    """Append the ownership code of every Nash orientation of the connected
+    graph ``adj`` to ``found``; return (content checks, assignments tried).
+
+    Each edge (u, w, i) of ``edges``, in pair order with pair index i, goes
+    to u (digit 1) or to w (digit 2). A vertex is checked as soon as its
+    last incident edge is assigned, and the branch is cut unless its owned
+    set is content: it leaves the vertex no strictly improving move. Under
+    single ownership that depends on the graph and the owned set alone
+    (_base_adj strips exactly the vertex's purchases, whose other ends
+    never own them back), so each (vertex, owned set) is decided once per
+    graph, on the partial purchase masks at hand.
+    """
+    owned = [0] * n
+    tables = [{} for _ in range(n)]
+    code = ["0"] * (n * (n - 1) // 2)
+    last = {}
+    for j, (u, w, _) in enumerate(edges):
+        last[u] = last[w] = j
+    completes = [[] for _ in edges]
+    for v in range(n):
+        if v in last:
+            completes[last[v]].append(v)
+    checks = tried = 0
+
+    def content(v) -> bool:
+        nonlocal checks
+        table = tables[v]
+        verdict = table.get(owned[v])
+        if verdict is None:
+            checks += 1
+            verdict = table[owned[v]] = _improving_move(p, q, n, adj, owned, v, True) is None
+        return verdict
+
+    def orient(j) -> None:
+        nonlocal tried
+        if j == len(edges):
+            found.append("".join(code))
+            return
+        u, w, i = edges[j]
+        for owner, bit, digit in ((u, 1 << w, "1"), (w, 1 << u, "2")):
+            tried += 1
+            owned[owner] |= bit
+            code[i] = digit
+            if all(content(v) for v in completes[j]):
+                orient(j + 1)
+            owned[owner] ^= bit
+
+    # Only n = 1 has a vertex without edges in a connected graph.
+    if all(content(v) for v in range(n) if v not in last):
+        orient(0)
+    return checks, tried
 
 
-def _enumerate_range(args) -> list:
-    """Worker: scan [lo, hi) of the single-ownership profile space."""
+def _enumerate_graphs(args) -> tuple:
+    """Worker: the Nash ownership codes over graphs [lo, hi), graph g holding
+    pair i iff bit i of g is set, and the counts (graphs, connected graphs,
+    content checks, assignments tried)."""
     n, alpha, lo, hi = args
-    pairs = list(combinations(range(n), 2))
     p, q = alpha.numerator, alpha.denominator
+    pairs = list(combinations(range(n), 2))
+    full = (1 << n) - 1
     found = []
-    for code_int in range(lo, hi):
-        adj, buys_masks, digits = _decode_ownership(code_int, n, pairs)
-        if _profile_is_nash_masks(p, q, n, adj, buys_masks):
-            found.append(digits)
-    return found
+    connected = checks = tried = 0
+    for g in range(lo, hi):
+        adj = [0] * n
+        edges = []
+        for i, (u, w) in enumerate(pairs):
+            if g >> i & 1:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+                edges.append((u, w, i))
+        if bfs(adj, 1, full) == INF:
+            continue  # buying every link beats an infinite usage cost
+        connected += 1
+        c, t = _nash_orientations(p, q, n, adj, edges, found)
+        checks += c
+        tried += t
+    return found, (hi - lo, connected, checks, tried)
 
 
 def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationResult:
     """All Nash equilibria over single-ownership profiles (exact, exhaustive).
 
-    The generator walks the 3^(n(n-1)/2) states absent / bought-by-u /
-    bought-by-v per vertex pair. Doubly-bought edges are excluded: either
-    buyer could drop its copy and save alpha > 0 with the graph unchanged,
-    so no such profile is ever Nash (checked separately in the test suite).
-    Output is sorted by ownership code and identical for any worker count.
+    The generator walks the 2^(n(n-1)/2) labeled graphs, skips the
+    disconnected ones, and backtracks over each connected graph's edge
+    orientations (every edge bought by exactly one endpoint), cutting a
+    branch as soon as a vertex whose edges are all assigned could improve.
+    That covers the 3^(n(n-1)/2) states absent / bought-by-u / bought-by-v
+    per vertex pair without visiting each. Doubly-bought edges are
+    excluded: either buyer could drop its copy and save alpha > 0 with the
+    graph unchanged, so no such profile is ever Nash (checked separately in
+    the test suite). Output is sorted by ownership code, and it and the
+    work counts in ``stats`` are identical for any worker count.
     """
     n = config.n
     if n > ENUMERATION_MAX_N:
         raise SizeGuard(f"exhaustive enumeration needs n <= {ENUMERATION_MAX_N}, got {n}")
-    pair_count = n * (n - 1) // 2
-    total = 3 ** pair_count
-    chunks = _split_range(total, workers)
+    chunks = _split_range(2 ** (n * (n - 1) // 2), workers)
     args = [(n, config.alpha, lo, hi) for lo, hi in chunks]
-    parts = _parallel_map(_enumerate_range, args, workers)
-    codes = sorted(code for part in parts for code in part)
+    parts = _parallel_map(_enumerate_graphs, args, workers)
+    codes = sorted(code for found, _ in parts for code in found)
+    stats = EnumerationStats(*(sum(col) for col in zip(*(counts for _, counts in parts))))
     profiles = tuple(StrategyProfile.from_ownership_code(n, c) for c in codes)
     tree_count = 0
     costs = []
@@ -423,7 +487,7 @@ def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationRes
         tree_count=tree_count, nontree_count=len(profiles) - tree_count,
         worst_cost=max(costs) if costs else None,
         best_cost=min(costs) if costs else None,
-        canonical_forms=canon)
+        canonical_forms=canon, stats=stats)
 
 
 def _parallel_map(func, args: list, workers: int) -> list:

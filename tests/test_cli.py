@@ -230,6 +230,18 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_enumerate_work_counts_independent_of_workers(self, tmp_path):
+        stats = []
+        for workers in (1, 2):
+            out = tmp_path / f"e{workers}.csv"
+            assert main(["enumerate", "--n", "4", "--alpha", "2",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"e{workers}.csv.manifest.json").read_text())
+            stats.append(manifest["extra"]["stats"])
+        assert stats[0] == stats[1]
+        assert stats[0] == {"graphs": 64, "connected_graphs": 38,
+                            "content_checks": 366, "orientations_tried": 450}
+
     def test_search_workers_byte_identical(self, tmp_path):
         outs = []
         for i, workers in enumerate([1, 4]):

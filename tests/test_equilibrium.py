@@ -13,8 +13,9 @@ from conftest import (ALPHAS, alphas, directed_cycle_profile, random_profile,
                       strategy_profiles)
 from ncg.errors import SizeGuard
 from ncg.game import GameConfig, StrategyProfile, build_graph, social_cost
-from ncg.equilibrium import (DynamicsStep, DynamicsTrace, _buys_masks,
-                             _derive_seed, _improving_move, _mask_to_tuple,
+from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
+                             _adj_of, _buys_masks, _derive_seed, _improving_move,
+                             _mask_to_tuple, _profile_is_nash_masks,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
@@ -300,8 +301,11 @@ class TestEnumeration:
             enumerate_equilibria(GameConfig(7, Fraction(2)))
 
     def test_worker_count_does_not_change_result(self):
+        # Equal results include equal work counts.
         cfg = GameConfig(4, Fraction(1, 2))
         assert enumerate_equilibria(cfg, workers=1) == enumerate_equilibria(cfg, workers=4)
+        cfg = GameConfig(5, Fraction(2))
+        assert enumerate_equilibria(cfg, workers=1) == enumerate_equilibria(cfg, workers=2)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(25)])
     def test_relabeling_bijects_equilibrium_set(self, alpha):
@@ -355,6 +359,100 @@ class TestEnumeration:
         assert result.canonical_forms == tuple(sorted(set(result.canonical_forms)))
         for profile in result.equilibria:
             assert isomorphism_canonical_code(profile) in result.canonical_forms
+
+
+def _decode_ownership(code_int: int, n: int, pairs) -> tuple:
+    """Base-3 digits over pairs -> (adjacency masks, purchase masks, digit string)."""
+    adj = [0] * n
+    buys_masks = [0] * n
+    digits = []
+    c = code_int
+    for u, v in pairs:
+        d = c % 3
+        c //= 3
+        digits.append(str(d))
+        if d:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            if d == 1:
+                buys_masks[u] |= 1 << v
+            else:
+                buys_masks[v] |= 1 << u
+    return adj, buys_masks, "".join(digits)
+
+
+def _state_walk_codes(n, alpha):
+    """Reference: the enumeration's former state walk, one exact Nash decision
+    per each of the 3^(n(n-1)/2) single-ownership states."""
+    pairs = list(itertools.combinations(range(n), 2))
+    p, q = alpha.numerator, alpha.denominator
+    found = []
+    for code_int in range(3 ** len(pairs)):
+        adj, buys_masks, digits = _decode_ownership(code_int, n, pairs)
+        if _profile_is_nash_masks(p, q, n, adj, buys_masks):
+            found.append(digits)
+    return sorted(found)
+
+
+def _codes(result):
+    return [profile.ownership_code() for profile in result.equilibria]
+
+
+@st.composite
+def single_ownership_masks(draw, max_n=7):
+    """Purchase masks of a single-ownership profile: each edge has one buyer."""
+    n = draw(st.integers(1, max_n))
+    buys_masks = [0] * n
+    for u, w in itertools.combinations(range(n), 2):
+        owner = draw(st.sampled_from(["none", "u", "w"]))
+        if owner == "u":
+            buys_masks[u] |= 1 << w
+        elif owner == "w":
+            buys_masks[w] |= 1 << u
+    return buys_masks
+
+
+class TestGraphFirstEnumeration:
+    """The graph-first enumeration against the state walk it replaced."""
+
+    @given(st.integers(1, 4),
+           st.fractions(min_value=Fraction(1, 8), max_value=30, max_denominator=12))
+    @example(4, Fraction(1))
+    @settings(max_examples=40, deadline=None)
+    def test_same_codes_as_state_walk_n_le_4(self, n, alpha):
+        assert _codes(enumerate_equilibria(GameConfig(n, alpha))) == _state_walk_codes(n, alpha)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(2), Fraction(25)])
+    def test_same_codes_as_state_walk_n5(self, alpha):
+        result = enumerate_equilibria(GameConfig(5, alpha), workers=2)
+        assert _codes(result) == _state_walk_codes(5, alpha)
+
+    def test_work_counts(self):
+        # n = 2: graphs {} and {01}; the edge goes to 0, then to 1, and each
+        # time both endpoints are decided on a new owned set.
+        assert enumerate_equilibria(GameConfig(2, Fraction(3))).stats == \
+            EnumerationStats(graphs=2, connected_graphs=1, content_checks=4,
+                             orientations_tried=2)
+        stats = enumerate_equilibria(GameConfig(3, Fraction(25))).stats
+        assert (stats.graphs, stats.connected_graphs) == (8, 4)
+
+    @given(single_ownership_masks(), alphas, st.integers(0, 6), st.sets(st.integers(0, 6)))
+    @example([0b10, 0], Fraction(2), 1, set())  # 1's edge bought by 0
+    @example([0b110, 0b100, 0], Fraction(1, 2), 0, {1})
+    @settings(max_examples=80, deadline=None)
+    def test_decider_reads_only_the_agents_own_purchases(self, buys_masks, alpha, v, kept):
+        # The content table rests on this: under single ownership, v's
+        # verdict is the same with any other agents' purchases cleared,
+        # such as those of edges the backtracking has not assigned yet.
+        n = len(buys_masks)
+        v %= n
+        adj = _adj_of(buys_masks)
+        only_v = [m if u == v else 0 for u, m in enumerate(buys_masks)]
+        partial = [m if u == v or u in kept else 0 for u, m in enumerate(buys_masks)]
+        p, q = alpha.numerator, alpha.denominator
+        full = _improving_move(p, q, n, adj, buys_masks, v, True)
+        assert _improving_move(p, q, n, adj, only_v, v, True) == full
+        assert _improving_move(p, q, n, adj, partial, v, True) == full
 
 
 class TestSearch:
@@ -550,5 +648,5 @@ def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
     assert enumerate_equilibria(GameConfig(3, Fraction(2)), workers=100_000) == serial_enum
     assert search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5, iterations=3,
                                      workers=100_000) == serial_search
-    # 27 one-state chunks on 4 cores, then 3 iterations on 4 cores
+    # 8 one-graph chunks on 4 cores, then 3 iterations on 4 cores
     assert ctx.sizes == [4, 3]
