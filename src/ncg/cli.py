@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ProfileFormatError, SizeGuard
-from .game import INF, GameConfig, StrategyProfile, build_graph, eccentricity
+from .game import INF, GameConfig, StrategyProfile
 from .equilibrium import (best_response_dynamics, best_response_exact,
-                          enumerate_equilibria, is_nash,
+                          enumerate_equilibria, is_nash, price_profile,
                           search_nontree_equilibria)
 from .optimum import optimum_analytic, price_of_anarchy
 from .profiles import load_profile
@@ -192,25 +192,22 @@ def _rows_dynamics(config):
     return rows, {"outcome": trace.outcome, "moves": len(trace.steps)}
 
 
-def _profile_row(game, profile):
-    graph = build_graph(profile)
-    # The social cost counts purchases, so it is the sum of the agent costs.
-    costs = [game.alpha * len(s) + eccentricity(graph.adj, v, game.n)
-             for v, s in enumerate(profile.buys)]
+def _profile_row(game, profile, price):
     return {
         "alpha": _fmt(game.alpha), "n": game.n,
         "profile_id": profile.ownership_code(),
-        "edges": graph.edge_count(),
-        "is_tree": _fmt(graph.is_tree()),
-        "social_cost": _fmt(sum(costs)),
-        "max_agent_cost": _fmt(max(costs)),
+        "edges": price.edges,
+        "is_tree": _fmt(price.is_tree),
+        "social_cost": _fmt(price.social_cost),
+        "max_agent_cost": _fmt(price.max_agent_cost),
     }
 
 
 def _rows_enumerate(config):
     game = _game_config(config)
     result = enumerate_equilibria(game, workers=config.workers)
-    rows = [_profile_row(game, prof) for prof in result.equilibria]
+    rows = [_profile_row(game, prof, price)
+            for prof, price in zip(result.equilibria, result.prices)]
     extra = {
         "equilibria": len(result.equilibria),
         "tree_count": result.tree_count,
@@ -228,7 +225,8 @@ def _rows_search(config):
     found = search_nontree_equilibria(game, seed=config.seed,
                                       iterations=config.iterations,
                                       workers=config.workers)
-    return [_profile_row(game, prof) for prof in found], {"found": len(found)}
+    return ([_profile_row(game, prof, price_profile(game, prof)) for prof in found],
+            {"found": len(found)})
 
 
 def _rows_audit(config):
@@ -331,6 +329,16 @@ def _exact_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"not a worker count >= 1: {text!r}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg",
@@ -342,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=_exact_rational, default=None,
                        help="exact rational, e.g. 25 or 19/2")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_worker_count, default=1)
         p.add_argument("--in", dest="input", default=None, metavar="FILE")
         p.add_argument("--out", dest="output", required=needs_out, metavar="FILE")
 

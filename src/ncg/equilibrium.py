@@ -12,11 +12,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import SizeGuard
 from .game import (INF, GameConfig, StrategyProfile, agent_cost, bfs,
-                   build_graph, eccentricity, social_cost)
+                   build_graph, eccentricity)
+from .isomorphism import connected_classes, relabelings
 
 BEST_RESPONSE_MAX_N = 20
 ENUMERATION_MAX_N = 6
@@ -60,10 +61,20 @@ class DynamicsTrace:
 class EnumerationStats:
     """Work counts of one enumeration; the same for any worker count."""
 
-    graphs: int  # labeled graphs scanned
-    connected_graphs: int  # of those, connected ones that were oriented
+    classes: int  # connected graph classes whose representative was oriented
     content_checks: int  # (vertex, owned set) pairs decided by the exact decider
     orientations_tried: int  # edge-ownership assignments made while backtracking
+    profiles_expanded: int  # relabeled codes built: n! per profile class
+
+
+@dataclass(frozen=True)
+class ProfilePrice:
+    """Graph and cost figures of a profile, shared by its isomorphism class."""
+
+    edges: int
+    is_tree: bool
+    social_cost: Fraction | float
+    max_agent_cost: Fraction | float
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,7 @@ class EnumerationResult:
     alpha: Fraction
     n: int
     equilibria: tuple
+    prices: tuple  # prices[i] is the ProfilePrice of equilibria[i]
     tree_count: int
     nontree_count: int
     worst_cost: Fraction | None
@@ -352,14 +364,31 @@ def _digit_table(buys_masks, n: int) -> list:
              for j in range(n)] for i in range(n)]
 
 
-def isomorphism_canonical_code(profile: StrategyProfile) -> str:
-    """Lexicographically minimal ownership code over all vertex relabelings;
+def _orbit(buys_masks, perms) -> set:
+    """Ownership codes of every relabeling in ``perms`` of the profile;
     relabeled by p, the pair (a, b) carries the digit of (p[a], p[b])."""
-    n = profile.n
-    digit = _digit_table(_buys_masks(profile), n)
-    pairs = list(combinations(range(n), 2))
-    return min("".join(digit[p[a]][p[b]] for a, b in pairs)
-               for p in permutations(range(n)))
+    flat = [d for row in _digit_table(buys_masks, len(buys_masks)) for d in row]
+    return {"".join(map(flat.__getitem__, perm)) for perm in perms}
+
+
+def isomorphism_canonical_code(profile: StrategyProfile) -> str:
+    """Lexicographically minimal ownership code over all vertex relabelings."""
+    return min(_orbit(_buys_masks(profile), relabelings(profile.n)))
+
+
+def _price(alpha: Fraction, n: int, adj, buys_masks) -> ProfilePrice:
+    full = (1 << n) - 1
+    # The social cost counts purchases, so it is the sum of the agent costs.
+    costs = [alpha * m.bit_count() + bfs(adj, 1 << v, full)
+             for v, m in enumerate(buys_masks)]
+    edges = sum(m.bit_count() for m in adj) // 2
+    return ProfilePrice(edges, costs[0] != INF and edges == n - 1, sum(costs), max(costs))
+
+
+def price_profile(config: GameConfig, profile: StrategyProfile) -> ProfilePrice:
+    """Edges, tree-ness, social cost and largest agent cost of a profile."""
+    buys_masks = _buys_masks(profile)
+    return _price(config.alpha, config.n, _adj_of(buys_masks), buys_masks)
 
 
 def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
@@ -424,70 +453,87 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
     return checks, tried
 
 
-def _enumerate_graphs(args) -> tuple:
-    """Worker: the Nash ownership codes over graphs [lo, hi), graph g holding
-    pair i iff bit i of g is set, and the counts (graphs, connected graphs,
-    content checks, assignments tried)."""
-    n, alpha, lo, hi = args
+def _orient_classes(args) -> tuple:
+    """Worker: the profile classes of the Nash orientations of each class
+    representative in ``reps``, as (sorted labeled codes, price) pairs, and
+    the counts (classes, content checks, assignments tried, relabelings).
+
+    A class's labeled members are its representative's images under all n!
+    relabelings. Nash-ness is invariant under relabeling, so the labeled
+    equilibria are exactly these orbits; an orientation that an earlier
+    orbit of the same representative already holds is skipped.
+    """
+    n, alpha, reps = args
     p, q = alpha.numerator, alpha.denominator
     pairs = list(combinations(range(n), 2))
-    full = (1 << n) - 1
-    found = []
-    connected = checks = tried = 0
-    for g in range(lo, hi):
-        adj = [0] * n
-        edges = []
-        for i, (u, w) in enumerate(pairs):
-            if g >> i & 1:
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
-                edges.append((u, w, i))
-        if bfs(adj, 1, full) == INF:
-            continue  # buying every link beats an infinite usage cost
-        connected += 1
+    perms = relabelings(n)
+    orbits = []
+    checks = tried = 0
+    for adj in reps:
+        edges = [(u, w, i) for i, (u, w) in enumerate(pairs) if adj[u] >> w & 1]
+        found = []
         c, t = _nash_orientations(p, q, n, adj, edges, found)
         checks += c
         tried += t
-    return found, (hi - lo, connected, checks, tried)
+        done = set()
+        for code in found:
+            if code in done:
+                continue
+            buys_masks = [0] * n
+            for (u, w), digit in zip(pairs, code):
+                if digit == "1":
+                    buys_masks[u] |= 1 << w
+                elif digit == "2":
+                    buys_masks[w] |= 1 << u
+            orbit = _orbit(buys_masks, perms)
+            done |= orbit
+            orbits.append((sorted(orbit), _price(alpha, n, adj, buys_masks)))
+    return orbits, (len(reps), checks, tried, len(orbits) * len(perms))
+
+
+def _class_orbits(n: int, alpha: Fraction, workers: int) -> tuple:
+    """(orbits, stats): every labeled single-ownership equilibrium on n
+    vertices, grouped into profile classes as ``_orient_classes`` returns
+    them, in class order; no size guard."""
+    classes = connected_classes(n)
+    args = [(n, alpha, classes[lo:hi]) for lo, hi in _split_range(len(classes), workers)]
+    parts = _parallel_map(_orient_classes, args, workers)
+    orbits = [orbit for found, _ in parts for orbit in found]
+    stats = EnumerationStats(*(sum(col) for col in zip(*(counts for _, counts in parts))))
+    return orbits, stats
 
 
 def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationResult:
     """All Nash equilibria over single-ownership profiles (exact, exhaustive).
 
-    The generator walks the 2^(n(n-1)/2) labeled graphs, skips the
-    disconnected ones, and backtracks over each connected graph's edge
+    The generator visits one representative per isomorphism class of
+    connected graphs (``ncg.isomorphism``) and backtracks over its edge
     orientations (every edge bought by exactly one endpoint), cutting a
     branch as soon as a vertex whose edges are all assigned could improve.
-    That covers the 3^(n(n-1)/2) states absent / bought-by-u / bought-by-v
-    per vertex pair without visiting each. Doubly-bought edges are
-    excluded: either buyer could drop its copy and save alpha > 0 with the
-    graph unchanged, so no such profile is ever Nash (checked separately in
-    the test suite). Output is sorted by ownership code, and it and the
-    work counts in ``stats`` are identical for any worker count.
+    Each Nash orientation not yet seen is expanded to its labeled profile
+    class by all n! relabelings and priced once for the whole class.
+    Disconnected graphs are never Nash (buying every link beats an
+    infinite usage cost), and neither are doubly-bought edges: either
+    buyer could drop its copy and save alpha > 0 with the graph unchanged
+    (checked separately in the test suite). Output is sorted by ownership
+    code, ``prices`` runs parallel to it, and it and the work counts in
+    ``stats`` are identical for any worker count.
     """
     n = config.n
     if n > ENUMERATION_MAX_N:
         raise SizeGuard(f"exhaustive enumeration needs n <= {ENUMERATION_MAX_N}, got {n}")
-    chunks = _split_range(2 ** (n * (n - 1) // 2), workers)
-    args = [(n, config.alpha, lo, hi) for lo, hi in chunks]
-    parts = _parallel_map(_enumerate_graphs, args, workers)
-    codes = sorted(code for found, _ in parts for code in found)
-    stats = EnumerationStats(*(sum(col) for col in zip(*(counts for _, counts in parts))))
-    profiles = tuple(StrategyProfile.from_ownership_code(n, c) for c in codes)
-    tree_count = 0
-    costs = []
-    for prof in profiles:
-        graph = build_graph(prof)
-        if graph.is_tree():
-            tree_count += 1
-        costs.append(social_cost(config, prof))
-    canon = tuple(sorted({isomorphism_canonical_code(prof) for prof in profiles}))
+    orbits, stats = _class_orbits(n, config.alpha, workers)
+    labeled = sorted((code, price) for codes, price in orbits for code in codes)
+    costs = [price.social_cost for _, price in orbits]
+    tree_count = sum(len(codes) for codes, price in orbits if price.is_tree)
     return EnumerationResult(
-        alpha=config.alpha, n=n, equilibria=profiles,
-        tree_count=tree_count, nontree_count=len(profiles) - tree_count,
+        alpha=config.alpha, n=n,
+        equilibria=tuple(StrategyProfile.from_ownership_code(n, c) for c, _ in labeled),
+        prices=tuple(price for _, price in labeled),
+        tree_count=tree_count, nontree_count=len(labeled) - tree_count,
         worst_cost=max(costs) if costs else None,
         best_cost=min(costs) if costs else None,
-        canonical_forms=canon, stats=stats)
+        canonical_forms=tuple(sorted(codes[0] for codes, _ in orbits)), stats=stats)
 
 
 def _parallel_map(func, args: list, workers: int) -> list:

@@ -2,8 +2,8 @@
 
 The closed-form optimum compares the star, (n-1)*alpha + 2n - 1, with the
 complete graph, alpha*n*(n-1)/2 + n; the crossover sits exactly at
-alpha = 2/(n-2). A brute-force twin minimizes social cost over every edge
-subset and serves as the independent oracle for the closed form.
+alpha = 2/(n-2). A brute-force twin minimizes social cost over every graph,
+one per isomorphism class, and serves as the oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotEquilibrium, NotTree, SizeGuard
-from .game import (INF, GameConfig, StrategyProfile, agent_cost,
-                   all_pairs_distances, build_graph, eccentricity, metrics,
-                   social_cost)
+from .game import (GameConfig, StrategyProfile, agent_cost,
+                   all_pairs_distances, bfs, build_graph, metrics, social_cost)
 from .equilibrium import enumerate_equilibria, is_nash
+from .isomorphism import connected_classes, relabelings
 
 OPTIMUM_BRUTEFORCE_MAX_N = 6
 
@@ -92,40 +92,37 @@ def optimum_analytic(config: GameConfig) -> OptimumResult:
 
 
 def optimum_bruteforce(config: GameConfig) -> OptimumResult:
-    """Exact minimum of social cost over all 2^(n(n-1)/2) edge subsets.
+    """Exact minimum of social cost over every graph on n vertices.
 
-    Who owns an edge never changes the social cost, so minimizing over
-    graphs with one owner per edge covers the whole strategy space; the
-    smaller endpoint pays in the reported witness. Ties break toward the
-    lexicographically smallest edge set.
+    Who owns an edge never changes the social cost, and neither does a
+    relabeling, so minimizing over one graph per isomorphism class of
+    connected graphs covers the whole strategy space (a disconnected graph
+    costs INF). The witness is the labeled copy of an optimal class with
+    the smallest edge bitmask, bit i for the i-th vertex pair in
+    lexicographic order; the smaller endpoint pays for each edge.
     """
     n = config.n
     if n > OPTIMUM_BRUTEFORCE_MAX_N:
         raise SizeGuard(
             f"brute-force optimum needs n <= {OPTIMUM_BRUTEFORCE_MAX_N}, got {n}")
-    pairs = list(combinations(range(n), 2))
-    best_cost, best_edges = None, None
-    for bits in range(1 << len(pairs)):
-        adj = [0] * n
-        edge_count = 0
-        for i, (u, v) in enumerate(pairs):
-            if (bits >> i) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                edge_count += 1
-        usage = 0
-        for v in range(n):
-            e = eccentricity(adj, v, n)
-            if e == INF:
-                usage = INF
-                break
-            usage += e
-        if usage == INF:
-            continue
-        cost = config.alpha * edge_count + usage
+    full = (1 << n) - 1
+    best_cost, optimal = None, []
+    for adj in connected_classes(n):
+        edge_count = sum(m.bit_count() for m in adj) // 2
+        cost = config.alpha * edge_count + sum(bfs(adj, 1 << v, full) for v in range(n))
         if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_edges = bits
+            best_cost, optimal = cost, [adj]
+        elif cost == best_cost:
+            optimal.append(adj)
+    perms = relabelings(n)
+    best_edges = None
+    for adj in optimal:
+        flat = [adj[a] >> b & 1 for a in range(n) for b in range(n)]
+        for perm in perms:  # the labeled copies of the class
+            bits = sum(1 << i for i, j in enumerate(perm) if flat[j])
+            if best_edges is None or bits < best_edges:
+                best_edges = bits
+    pairs = list(combinations(range(n), 2))
     buys: list[set] = [set() for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
         if (best_edges >> i) & 1:
@@ -145,15 +142,18 @@ def price_of_anarchy(config: GameConfig, equilibria=None, workers: int = 1) -> P
     """
     exhaustive = equilibria is None
     if exhaustive:
-        equilibria = enumerate_equilibria(config, workers=workers).equilibria
+        # Priced once per isomorphism class by the enumeration.
+        result = enumerate_equilibria(config, workers=workers)
+        worst, considered = result.worst_cost, len(result.equilibria)
+    else:
+        costs = [social_cost(config, prof) for prof in equilibria]
+        worst, considered = max(costs, default=None), len(costs)
     opt = optimum_analytic(config)
     if exhaustive and config.n <= OPTIMUM_BRUTEFORCE_MAX_N:
         brute = optimum_bruteforce(config)
         if brute.cost != opt.cost:
             raise AssertionError(
                 f"optimum mismatch: analytic {opt.cost} vs brute force {brute.cost}")
-    costs = [social_cost(config, prof) for prof in equilibria]
-    worst = max(costs) if costs else None
     if worst is None:
         poa = None
     elif opt.cost == 0:  # n == 1: the empty profile is both optimum and equilibrium
@@ -165,7 +165,7 @@ def price_of_anarchy(config: GameConfig, equilibria=None, workers: int = 1) -> P
         worst_equilibrium_cost=worst,
         optimum_cost=opt.cost,
         poa=poa,
-        equilibria_considered=len(costs),
+        equilibria_considered=considered,
         exhaustive=exhaustive)
 
 

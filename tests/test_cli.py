@@ -80,6 +80,16 @@ class TestVerifyMode:
         assert exc.value.code == 2
         assert "not an exact rational: '1/0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "x"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "3", "--alpha", "2", "--workers", workers,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"not a worker count >= 1: {workers!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_input_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.ncg")
         rc = main(["verify", "--in", missing, "--out", str(tmp_path / "v.csv")])
@@ -239,8 +249,8 @@ class TestDeterminism:
             manifest = json.loads((tmp_path / f"e{workers}.csv.manifest.json").read_text())
             stats.append(manifest["extra"]["stats"])
         assert stats[0] == stats[1]
-        assert stats[0] == {"graphs": 64, "connected_graphs": 38,
-                            "content_checks": 366, "orientations_tried": 450}
+        assert stats[0] == {"classes": 6, "content_checks": 58,
+                            "orientations_tried": 80, "profiles_expanded": 120}
 
     def test_search_workers_byte_identical(self, tmp_path):
         outs = []
@@ -317,7 +327,7 @@ def test_serialized_profiles_from_rows_verify(tmp_path):
 _FLAG_VALUES = {
     "--n": ["1", "2", "3", "4", "5", "-1", "0", "x", str(MAX_AGENTS + 1)],
     "--alpha": ["1/2", "1", "2", "5/2", "25", "1/0", "abc", "0", "-1"],
-    "--workers": ["1", "2"],
+    "--workers": ["1", "2", "0", "-3"],
     "--seed": ["0", "7", "-3"],
     "--in": ["p.ncg", "p.ncg", "p.ncg", "missing.ncg", "."],
     "--agent": ["0", "1", "4", "-1", "9", "x"],

@@ -12,10 +12,12 @@ import oracles
 from conftest import (ALPHAS, alphas, directed_cycle_profile, random_profile,
                       strategy_profiles)
 from ncg.errors import SizeGuard
-from ncg.game import GameConfig, StrategyProfile, build_graph, social_cost
+from ncg.game import INF, GameConfig, StrategyProfile, bfs, build_graph, social_cost
 from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
-                             _adj_of, _buys_masks, _derive_seed, _improving_move,
-                             _mask_to_tuple, _profile_is_nash_masks,
+                             ProfilePrice, _adj_of, _buys_masks, _class_orbits,
+                             _derive_seed, _improving_move, _mask_to_tuple,
+                             _nash_orientations, _parallel_map,
+                             _profile_is_nash_masks, _split_range,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
@@ -428,13 +430,17 @@ class TestGraphFirstEnumeration:
         assert _codes(result) == _state_walk_codes(5, alpha)
 
     def test_work_counts(self):
-        # n = 2: graphs {} and {01}; the edge goes to 0, then to 1, and each
-        # time both endpoints are decided on a new owned set.
+        # n = 2: one class, the edge; it goes to 0, then to 1, and each time
+        # both endpoints are decided on a new owned set. Both orientations
+        # are Nash and one class: the first is relabeled 2! times and the
+        # second is found in its orbit.
         assert enumerate_equilibria(GameConfig(2, Fraction(3))).stats == \
-            EnumerationStats(graphs=2, connected_graphs=1, content_checks=4,
-                             orientations_tried=2)
-        stats = enumerate_equilibria(GameConfig(3, Fraction(25))).stats
-        assert (stats.graphs, stats.connected_graphs) == (8, 4)
+            EnumerationStats(classes=1, content_checks=4, orientations_tried=2,
+                             profiles_expanded=2)
+        # n = 3: the path and the triangle; three profile classes, all paths.
+        assert enumerate_equilibria(GameConfig(3, Fraction(25))).stats == \
+            EnumerationStats(classes=2, content_checks=14, orientations_tried=14,
+                             profiles_expanded=18)
 
     @given(single_ownership_masks(), alphas, st.integers(0, 6), st.sets(st.integers(0, 6)))
     @example([0b10, 0], Fraction(2), 1, set())  # 1's edge bought by 0
@@ -453,6 +459,95 @@ class TestGraphFirstEnumeration:
         full = _improving_move(p, q, n, adj, buys_masks, v, True)
         assert _improving_move(p, q, n, adj, only_v, v, True) == full
         assert _improving_move(p, q, n, adj, partial, v, True) == full
+
+
+def _labeled_walk(args):
+    """Reference: the enumeration's former labeled graph walk over graphs
+    [lo, hi), graph g holding pair i iff bit i of g is set."""
+    n, alpha, lo, hi = args
+    p, q = alpha.numerator, alpha.denominator
+    pairs = list(itertools.combinations(range(n), 2))
+    found = []
+    for g in range(lo, hi):
+        adj = [0] * n
+        edges = []
+        for i, (u, w) in enumerate(pairs):
+            if g >> i & 1:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+                edges.append((u, w, i))
+        if bfs(adj, 1, (1 << n) - 1) != INF:
+            _nash_orientations(p, q, n, adj, edges, found)
+    return found
+
+
+def _labeled_walk_codes(n, alpha, workers=1):
+    chunks = _split_range(2 ** (n * (n - 1) // 2), workers)
+    parts = _parallel_map(_labeled_walk, [(n, alpha, lo, hi) for lo, hi in chunks], workers)
+    return sorted(code for found in parts for code in found)
+
+
+class TestClassFirstEnumeration:
+    """One representative per connected graph class, expanded by relabeling,
+    against the labeled graph walk it replaced."""
+
+    @given(st.integers(1, 4),
+           st.fractions(min_value=Fraction(1, 8), max_value=30, max_denominator=12))
+    @example(4, Fraction(1))
+    @settings(max_examples=40, deadline=None)
+    def test_same_codes_as_labeled_walk_n_le_4(self, n, alpha):
+        assert _codes(enumerate_equilibria(GameConfig(n, alpha))) == _labeled_walk_codes(n, alpha)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(2), Fraction(25)])
+    def test_same_codes_as_labeled_walk_n5(self, alpha):
+        result = enumerate_equilibria(GameConfig(5, alpha), workers=2)
+        assert _codes(result) == _labeled_walk_codes(5, alpha)
+
+    def test_same_codes_as_labeled_walk_n6(self):
+        cfg = GameConfig(6, Fraction(2))
+        result = enumerate_equilibria(cfg, workers=2)
+        assert _codes(result) == _labeled_walk_codes(6, cfg.alpha, workers=2)
+        assert result == enumerate_equilibria(cfg, workers=1)
+        # Each canonical form is the lex-min code of its own class.
+        assert len(result.canonical_forms) == 30
+        assert all(isomorphism_canonical_code(StrategyProfile.from_ownership_code(6, c)) == c
+                   for c in result.canonical_forms)
+
+    @pytest.mark.parametrize("alpha, equilibria, classes",
+                             [(Fraction(1, 2), 14112, 28), (Fraction(25), 8232, 30)])
+    def test_pinned_counts_n6(self, alpha, equilibria, classes):
+        result = enumerate_equilibria(GameConfig(6, alpha), workers=2)
+        assert (len(result.equilibria), len(result.canonical_forms)) == (equilibria, classes)
+
+    @pytest.mark.parametrize("n, alpha", [(4, Fraction(1, 3)), (5, Fraction(1, 2)),
+                                          (5, Fraction(2))])
+    def test_prices_match_oracle(self, n, alpha):
+        result = enumerate_equilibria(GameConfig(n, alpha))
+        assert len(result.prices) == len(result.equilibria)
+        for profile, price in zip(result.equilibria, result.prices):
+            buys = profile.buys
+            edges = sum(map(len, buys))
+            connected = oracles.eccentricity(n, oracles.adjacency(n, buys), 0) != INF
+            assert price == ProfilePrice(
+                edges=edges, is_tree=connected and edges == n - 1,
+                social_cost=oracles.social_cost(n, alpha, buys),
+                max_agent_cost=max(oracles.agent_cost(n, alpha, buys, v) for v in range(n)))
+
+    @pytest.mark.parametrize("alpha, equilibria, nontree",
+                             [(Fraction(25), 92638, 0), (Fraction(2), 93358, 720)])
+    def test_tree_theorem_at_n7(self, alpha, equilibria, nontree):
+        # Past the public n <= 6 guard, through the class engine. At alpha 2
+        # the only non-tree equilibria are the directed C7s: 6!/2 labeled
+        # 7-cycles, each bought in either direction.
+        orbits, stats = _class_orbits(7, alpha, workers=2)
+        assert stats.classes == 853
+        assert sum(len(codes) for codes, _ in orbits) == equilibria
+        assert sum(len(codes) for codes, price in orbits if not price.is_tree) == nontree
+        for codes, price in orbits:
+            if not price.is_tree:
+                assert price.edges == 7
+                profile = StrategyProfile.from_ownership_code(7, codes[0])
+                assert all(len(s) == 1 for s in profile.buys)  # a directed cycle
 
 
 class TestSearch:
@@ -639,14 +734,14 @@ class _SerialPool:
 
 
 def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
-    serial_enum = enumerate_equilibria(GameConfig(3, Fraction(2)))
+    serial_enum = enumerate_equilibria(GameConfig(4, Fraction(2)))
     serial_search = search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5,
                                               iterations=3)
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert enumerate_equilibria(GameConfig(3, Fraction(2)), workers=100_000) == serial_enum
+    assert enumerate_equilibria(GameConfig(4, Fraction(2)), workers=100_000) == serial_enum
     assert search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5, iterations=3,
                                      workers=100_000) == serial_search
-    # 8 one-graph chunks on 4 cores, then 3 iterations on 4 cores
+    # 6 one-class chunks on 4 cores, then 3 iterations on 4 cores
     assert ctx.sizes == [4, 3]

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import directed_cycle_profile
 from ncg.errors import NotEquilibrium, NotTree, SizeGuard
-from ncg.game import GameConfig, StrategyProfile, build_graph, social_cost
+from ncg.game import INF, GameConfig, StrategyProfile, build_graph, eccentricity, social_cost
 from ncg.equilibrium import enumerate_equilibria
 from ncg.optimum import (clique_profile, optimum_analytic, optimum_bruteforce,
                          price_of_anarchy, star_profile, tree_poa_certificate)
@@ -37,6 +38,39 @@ class TestOptimumAnalytic:
                 assert social_cost(cfg, r.witness) == r.cost
 
 
+def _labeled_graphs(n):
+    """(edge bitmask, edge count, usage) of every connected labeled graph,
+    bit i for the i-th pair, in ascending bitmask order."""
+    pairs = list(combinations(range(n), 2))
+    graphs = []
+    for bits in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if (bits >> i) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        usage = sum(eccentricity(adj, v, n) for v in range(n))
+        if usage != INF:
+            graphs.append((bits, bin(bits).count("1"), usage))
+    return graphs
+
+
+def _labeled_optimum(config, graphs):
+    """Reference: optimum_bruteforce's former loop over the labeled graphs,
+    keeping the first (smallest) bitmask of least cost."""
+    n = config.n
+    best_cost, best_edges = None, None
+    for bits, edge_count, usage in graphs:
+        cost = config.alpha * edge_count + usage
+        if best_cost is None or cost < best_cost:
+            best_cost, best_edges = cost, bits
+    buys = [set() for _ in range(n)]
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        if (best_edges >> i) & 1:
+            buys[u].add(v)
+    return best_cost, StrategyProfile.from_sets(buys)
+
+
 class TestOptimumBruteforce:
     def test_matches_analytic_star_case(self):
         cfg = GameConfig(4, Fraction(3))
@@ -67,6 +101,15 @@ class TestOptimumBruteforce:
         for alpha in ALPHA_GRID + boundary:
             cfg = GameConfig(n, alpha)
             assert optimum_bruteforce(cfg).cost == optimum_analytic(cfg).cost
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_same_cost_and_witness_as_labeled_loop(self, n):
+        boundary = [Fraction(2, n - 2)] if n >= 3 else []
+        graphs = _labeled_graphs(n)
+        for alpha in ALPHA_GRID + boundary:
+            cfg = GameConfig(n, alpha)
+            result = optimum_bruteforce(cfg)
+            assert (result.cost, result.witness) == _labeled_optimum(cfg, graphs)
 
 
 class TestPriceOfAnarchy:
