@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Price of anarchy across an alpha grid, by exhaustive enumeration.
 
-Prints one exact rational PoA per (n, alpha) and flags the regimes the
-theory predicts: PoA = 1 below 1/(n-2), PoA <= 2 below 2/(n-2), and
-PoA < 3 whenever every equilibrium is a tree.
+Prints one exact rational PoA per (n, alpha) and, for n >= 3, flags the
+regimes the theory predicts: PoA = 1 below 1/(n-2), PoA <= 2 below
+2/(n-2), and PoA < 3 whenever every equilibrium is a tree. Exits like
+``ncg``: 5 past the enumeration size guard, 3 on an invalid n or alpha.
 
 Usage: python scripts/poa_scan.py [--n 5] [--out FILE.csv]
 """
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from ncg.cli import _exact_rational
+from ncg.errors import SizeGuard
 from ncg.game import GameConfig
 from ncg.optimum import price_of_anarchy
 
@@ -26,7 +28,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--alpha", type=_exact_rational, nargs="*", default=DEFAULT_GRID)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, metavar="FILE.csv")
     args = parser.parse_args(argv)
 
@@ -34,8 +35,17 @@ def main(argv=None) -> int:
     rows = []
     print(f"{'alpha':>8} {'worst':>10} {'opt':>10} {'poa':>12} {'~poa':>7}  regime")
     for alpha in args.alpha:
-        report = price_of_anarchy(GameConfig(n, alpha), workers=args.workers)
-        if alpha < Fraction(1, n - 2):
+        try:
+            report = price_of_anarchy(GameConfig(n, alpha))
+        except SizeGuard as exc:
+            print(f"size guard: {exc}", file=sys.stderr)
+            return 5
+        except ValueError as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 3
+        if n <= 2:
+            regime = ""
+        elif alpha < Fraction(1, n - 2):
             regime = "expect poa = 1"
         elif alpha < Fraction(2, n - 2):
             regime = "expect poa <= 2"

@@ -4,7 +4,8 @@
 Exhaustively enumerates all equilibria for each (n, alpha) on a rational
 alpha grid and reports where non-tree equilibria stop appearing. At desk
 scale the last non-tree equilibrium already vanishes a little above
-alpha = 2, far below the proven general threshold.
+alpha = 2, far below the proven general threshold. Exits like ``ncg``: 5
+past the enumeration size guard, 3 on an invalid n or alpha.
 
 Usage: python scripts/tree_threshold_scan.py [--n-max 5] [--out FILE.csv]
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 from ncg.cli import _exact_rational
 from ncg.equilibrium import enumerate_equilibria
+from ncg.errors import SizeGuard
 from ncg.game import GameConfig
 
 DEFAULT_GRID = [Fraction(x) for x in
@@ -29,7 +31,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n-min", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=5)
     parser.add_argument("--alpha", type=_exact_rational, nargs="*", default=DEFAULT_GRID)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, metavar="FILE.csv")
     args = parser.parse_args(argv)
 
@@ -40,7 +41,14 @@ def main(argv=None) -> int:
         last_nontree = None
         for alpha in args.alpha:
             t0 = time.perf_counter()
-            result = enumerate_equilibria(GameConfig(n, alpha), workers=args.workers)
+            try:
+                result = enumerate_equilibria(GameConfig(n, alpha))
+            except SizeGuard as exc:
+                print(f"size guard: {exc}", file=sys.stderr)
+                return 5
+            except ValueError as exc:
+                print(f"invalid configuration: {exc}", file=sys.stderr)
+                return 3
             dt = time.perf_counter() - t0
             print(f"{n:>3} {str(alpha):>8} {len(result.equilibria):>11} "
                   f"{result.tree_count:>7} {result.nontree_count:>10} "

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ProfileFormatError, SizeGuard
-from .game import INF, GameConfig, StrategyProfile
+from .game import GameConfig, StrategyProfile
 from .equilibrium import (best_response_dynamics, best_response_exact,
                           enumerate_equilibria, is_nash, price_profile,
                           search_nontree_equilibria)
@@ -90,8 +90,6 @@ class RunManifest:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if value == INF:
-        return "inf"
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -205,7 +203,7 @@ def _profile_row(game, profile, price):
 
 def _rows_enumerate(config):
     game = _game_config(config)
-    result = enumerate_equilibria(game, workers=config.workers)
+    result = enumerate_equilibria(game)
     rows = [_profile_row(game, prof, price)
             for prof, price in zip(result.equilibria, result.prices)]
     extra = {
@@ -258,7 +256,7 @@ def _rows_audit(config):
 
 def _rows_poa(config):
     game = _game_config(config)
-    report = price_of_anarchy(game, workers=config.workers)
+    report = price_of_anarchy(game)
     return [{
         "alpha": _fmt(game.alpha), "n": game.n,
         "worst_eq_cost": _fmt(report.worst_equilibrium_cost),

@@ -59,7 +59,7 @@ class DynamicsTrace:
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Work counts of one enumeration; the same for any worker count."""
+    """Work counts of one enumeration; the same on every run."""
 
     classes: int  # connected graph classes whose representative was oriented
     content_checks: int  # (vertex, owned set) pairs decided by the exact decider
@@ -453,23 +453,23 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
     return checks, tried
 
 
-def _orient_classes(args) -> tuple:
-    """Worker: the profile classes of the Nash orientations of each class
-    representative in ``reps``, as (sorted labeled codes, price) pairs, and
-    the counts (classes, content checks, assignments tried, relabelings).
+def _class_orbits(n: int, alpha: Fraction) -> tuple:
+    """(orbits, stats): every labeled single-ownership equilibrium on n
+    vertices, grouped into profile classes in class order, each as a
+    (sorted labeled codes, price) pair; no size guard.
 
     A class's labeled members are its representative's images under all n!
     relabelings. Nash-ness is invariant under relabeling, so the labeled
     equilibria are exactly these orbits; an orientation that an earlier
     orbit of the same representative already holds is skipped.
     """
-    n, alpha, reps = args
     p, q = alpha.numerator, alpha.denominator
     pairs = list(combinations(range(n), 2))
     perms = relabelings(n)
+    classes = connected_classes(n)
     orbits = []
     checks = tried = 0
-    for adj in reps:
+    for adj in classes:
         edges = [(u, w, i) for i, (u, w) in enumerate(pairs) if adj[u] >> w & 1]
         found = []
         c, t = _nash_orientations(p, q, n, adj, edges, found)
@@ -488,22 +488,10 @@ def _orient_classes(args) -> tuple:
             orbit = _orbit(buys_masks, perms)
             done |= orbit
             orbits.append((sorted(orbit), _price(alpha, n, adj, buys_masks)))
-    return orbits, (len(reps), checks, tried, len(orbits) * len(perms))
+    return orbits, EnumerationStats(len(classes), checks, tried, len(orbits) * len(perms))
 
 
-def _class_orbits(n: int, alpha: Fraction, workers: int) -> tuple:
-    """(orbits, stats): every labeled single-ownership equilibrium on n
-    vertices, grouped into profile classes as ``_orient_classes`` returns
-    them, in class order; no size guard."""
-    classes = connected_classes(n)
-    args = [(n, alpha, classes[lo:hi]) for lo, hi in _split_range(len(classes), workers)]
-    parts = _parallel_map(_orient_classes, args, workers)
-    orbits = [orbit for found, _ in parts for orbit in found]
-    stats = EnumerationStats(*(sum(col) for col in zip(*(counts for _, counts in parts))))
-    return orbits, stats
-
-
-def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationResult:
+def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
     """All Nash equilibria over single-ownership profiles (exact, exhaustive).
 
     The generator visits one representative per isomorphism class of
@@ -516,13 +504,12 @@ def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationRes
     infinite usage cost), and neither are doubly-bought edges: either
     buyer could drop its copy and save alpha > 0 with the graph unchanged
     (checked separately in the test suite). Output is sorted by ownership
-    code, ``prices`` runs parallel to it, and it and the work counts in
-    ``stats`` are identical for any worker count.
+    code and ``prices`` runs parallel to it. The work runs in this process.
     """
     n = config.n
     if n > ENUMERATION_MAX_N:
         raise SizeGuard(f"exhaustive enumeration needs n <= {ENUMERATION_MAX_N}, got {n}")
-    orbits, stats = _class_orbits(n, config.alpha, workers)
+    orbits, stats = _class_orbits(n, config.alpha)
     labeled = sorted((code, price) for codes, price in orbits for code in codes)
     costs = [price.social_cost for _, price in orbits]
     tree_count = sum(len(codes) for codes, price in orbits if price.is_tree)
@@ -538,19 +525,15 @@ def enumerate_equilibria(config: GameConfig, workers: int = 1) -> EnumerationRes
 
 def _parallel_map(func, args: list, workers: int) -> list:
     """``[func(a) for a in args]``, on a pool of forked processes when more
-    than one is useful: never more than ``workers``, chunks or cores."""
+    than one is useful: never more than ``workers``, items or cores. Search
+    is the only caller: its restarts are independent and each is long
+    enough to repay the pool."""
     procs = min(workers, len(args), os.cpu_count() or 1)
     if procs < 2:
         return [func(a) for a in args]
     import multiprocessing as mp
     with mp.get_context("fork").Pool(procs) as pool:
         return pool.map(func, args)
-
-
-def _split_range(total: int, workers: int) -> list:
-    workers = max(1, workers)
-    step = (total + workers - 1) // workers
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)] or [(0, 0)]
 
 
 def _random_buys_masks(rng: random.Random, n: int) -> list:

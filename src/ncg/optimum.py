@@ -132,7 +132,7 @@ def optimum_bruteforce(config: GameConfig) -> OptimumResult:
                          method="brute-force")
 
 
-def price_of_anarchy(config: GameConfig, equilibria=None, workers: int = 1) -> PoAReport:
+def price_of_anarchy(config: GameConfig, equilibria=None) -> PoAReport:
     """Worst equilibrium social cost over the optimum.
 
     Without a supplied equilibrium list this enumerates exhaustively (and
@@ -143,7 +143,7 @@ def price_of_anarchy(config: GameConfig, equilibria=None, workers: int = 1) -> P
     exhaustive = equilibria is None
     if exhaustive:
         # Priced once per isomorphism class by the enumeration.
-        result = enumerate_equilibria(config, workers=workers)
+        result = enumerate_equilibria(config)
         worst, considered = result.worst_cost, len(result.equilibria)
     else:
         costs = [social_cost(config, prof) for prof in equilibria]
@@ -209,7 +209,7 @@ def tree_poa_certificate(config: GameConfig, profile: StrategyProfile) -> TreePo
     return TreePoaCertificate(
         diameter=diameter,
         diameter_bound=bound,
-        diameter_ok=Fraction(diameter) <= bound,
+        diameter_ok=diameter <= bound,
         social_cost=cost,
         optimum_cost=opt,
         ratio=ratio,

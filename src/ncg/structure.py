@@ -536,7 +536,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
         if g is None:
             records.append(_check(check_id, True, passed=True, vacuous=True,
                                   detail="no cycles"))
-        elif Fraction(g) < threshold:
+        elif g < threshold:
             records.append(_check(
                 check_id, True, passed=False,
                 witnesses=[Witness("cycle", cyc,
@@ -613,7 +613,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
                 bound = mets.ecc[v] + 2 - alpha
                 for w in sorted(ca.s_of(v)):
                     d = table.rows[v][w]
-                    if Fraction(d) > bound:
+                    if d > bound:
                         bad.append(Witness(
                             "distant_attachment", (v, w, d),
                             f"d({v},{w}) = {d} > usage({v}) + 2 - alpha = {bound}"))
@@ -717,12 +717,12 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
                     continue  # no tree path between them: infinitely separated
                 examined += 1
                 x, d1, d2 = _lca_and_depths(spt, u1, u2)
-                if Fraction(max(d1, d2)) < threshold:
+                if max(d1, d2) < threshold:
                     lca_bad.append(Witness(
                         "close_shopping_pair", (u1, u2, x, d1, d2),
                         f"shopping vertices {u1},{u2} are {d1},{d2} from their "
                         f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
-                if Fraction(d1 + d2) < threshold:
+                if d1 + d2 < threshold:
                     dist_bad.append(Witness(
                         "close_shopping_pair", (u1, u2, d1 + d2),
                         f"tree distance {d1 + d2} between shopping vertices "
@@ -785,15 +785,14 @@ def _k3_endpoint_condition(profile: StrategyProfile, mets, path: TwoDegreePath) 
 
 
 def lemma_crucial_deviation(config: GameConfig, profile: StrategyProfile,
-                            a: int, b: int,
-                            spt_at_b: ShortestPathTree | None = None) -> CrucialDeviation:
+                            a: int, b: int) -> CrucialDeviation:
     """Build the concrete strategy change that swaps one qualifying owned
     edge of ``a`` for the edge (a, b) and drops a's other non-tree edges.
 
     Qualifying means the owned edge is not a tree edge of the shortest path
-    tree rooted at b, or goes to a's parent in it. When no tree is supplied,
-    parent choices are searched so that some owned edge qualifies if the
-    BFS depths permit it at all. The resulting usage of ``a`` never exceeds
+    tree rooted at b, or goes to a's parent in it. Parent choices in that
+    tree are searched so that some owned edge qualifies if the BFS depths
+    permit it at all. The resulting usage of ``a`` never exceeds
     the usage of ``b`` plus one.
     """
     if a == b:
@@ -804,12 +803,7 @@ def lemma_crucial_deviation(config: GameConfig, profile: StrategyProfile,
     if not profile.buys[a]:
         raise PreconditionUnmet(f"vertex {a} buys nothing")
 
-    if spt_at_b is not None:
-        if spt_at_b.root != b:
-            raise PreconditionUnmet("supplied tree must be rooted at the anchor")
-        spt = spt_at_b
-    else:
-        spt = _spt_preferring_qualifier(graph, b, a, profile.buys[a])
+    spt = _spt_preferring_qualifier(graph, b, a, profile.buys[a])
 
     t_edges = spt.edges()
     qualifying = []

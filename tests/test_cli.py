@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -251,6 +252,22 @@ class TestDeterminism:
         assert stats[0] == stats[1]
         assert stats[0] == {"classes": 6, "content_checks": 58,
                             "orientations_tried": 80, "profiles_expanded": 120}
+
+    @pytest.mark.parametrize("mode", ["enumerate", "poa"])
+    def test_enumerate_and_poa_run_in_process(self, tmp_path, monkeypatch, mode):
+        serial = tmp_path / "w1.csv"
+        assert main([mode, "--n", "5", "--alpha", "2", "--workers", "1",
+                     "--out", str(serial)]) == 0
+
+        def no_fork(method):
+            raise AssertionError(f"{mode} asked for a {method} context")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        out = tmp_path / "w2.csv"
+        assert main([mode, "--n", "5", "--alpha", "2", "--workers", "2",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == serial.read_bytes()
 
     def test_search_workers_byte_identical(self, tmp_path):
         outs = []

@@ -17,7 +17,7 @@ from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
                              ProfilePrice, _adj_of, _buys_masks, _class_orbits,
                              _derive_seed, _improving_move, _mask_to_tuple,
                              _nash_orientations, _parallel_map,
-                             _profile_is_nash_masks, _split_range,
+                             _profile_is_nash_masks,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
@@ -302,12 +302,10 @@ class TestEnumeration:
         with pytest.raises(SizeGuard):
             enumerate_equilibria(GameConfig(7, Fraction(2)))
 
-    def test_worker_count_does_not_change_result(self):
+    def test_two_runs_give_equal_results(self):
         # Equal results include equal work counts.
-        cfg = GameConfig(4, Fraction(1, 2))
-        assert enumerate_equilibria(cfg, workers=1) == enumerate_equilibria(cfg, workers=4)
-        cfg = GameConfig(5, Fraction(2))
-        assert enumerate_equilibria(cfg, workers=1) == enumerate_equilibria(cfg, workers=2)
+        for cfg in (GameConfig(4, Fraction(1, 2)), GameConfig(5, Fraction(2))):
+            assert enumerate_equilibria(cfg) == enumerate_equilibria(cfg)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(25)])
     def test_relabeling_bijects_equilibrium_set(self, alpha):
@@ -426,7 +424,7 @@ class TestGraphFirstEnumeration:
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(2), Fraction(25)])
     def test_same_codes_as_state_walk_n5(self, alpha):
-        result = enumerate_equilibria(GameConfig(5, alpha), workers=2)
+        result = enumerate_equilibria(GameConfig(5, alpha))
         assert _codes(result) == _state_walk_codes(5, alpha)
 
     def test_work_counts(self):
@@ -482,8 +480,10 @@ def _labeled_walk(args):
 
 
 def _labeled_walk_codes(n, alpha, workers=1):
-    chunks = _split_range(2 ** (n * (n - 1) // 2), workers)
-    parts = _parallel_map(_labeled_walk, [(n, alpha, lo, hi) for lo, hi in chunks], workers)
+    total = 2 ** (n * (n - 1) // 2)
+    step = -(-total // workers)
+    args = [(n, alpha, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    parts = _parallel_map(_labeled_walk, args, workers)
     return sorted(code for found in parts for code in found)
 
 
@@ -500,14 +500,13 @@ class TestClassFirstEnumeration:
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(2), Fraction(25)])
     def test_same_codes_as_labeled_walk_n5(self, alpha):
-        result = enumerate_equilibria(GameConfig(5, alpha), workers=2)
+        result = enumerate_equilibria(GameConfig(5, alpha))
         assert _codes(result) == _labeled_walk_codes(5, alpha)
 
     def test_same_codes_as_labeled_walk_n6(self):
         cfg = GameConfig(6, Fraction(2))
-        result = enumerate_equilibria(cfg, workers=2)
+        result = enumerate_equilibria(cfg)
         assert _codes(result) == _labeled_walk_codes(6, cfg.alpha, workers=2)
-        assert result == enumerate_equilibria(cfg, workers=1)
         # Each canonical form is the lex-min code of its own class.
         assert len(result.canonical_forms) == 30
         assert all(isomorphism_canonical_code(StrategyProfile.from_ownership_code(6, c)) == c
@@ -516,7 +515,7 @@ class TestClassFirstEnumeration:
     @pytest.mark.parametrize("alpha, equilibria, classes",
                              [(Fraction(1, 2), 14112, 28), (Fraction(25), 8232, 30)])
     def test_pinned_counts_n6(self, alpha, equilibria, classes):
-        result = enumerate_equilibria(GameConfig(6, alpha), workers=2)
+        result = enumerate_equilibria(GameConfig(6, alpha))
         assert (len(result.equilibria), len(result.canonical_forms)) == (equilibria, classes)
 
     @pytest.mark.parametrize("n, alpha", [(4, Fraction(1, 3)), (5, Fraction(1, 2)),
@@ -539,7 +538,7 @@ class TestClassFirstEnumeration:
         # Past the public n <= 6 guard, through the class engine. At alpha 2
         # the only non-tree equilibria are the directed C7s: 6!/2 labeled
         # 7-cycles, each bought in either direction.
-        orbits, stats = _class_orbits(7, alpha, workers=2)
+        orbits, stats = _class_orbits(7, alpha)
         assert stats.classes == 853
         assert sum(len(codes) for codes, _ in orbits) == equilibria
         assert sum(len(codes) for codes, price in orbits if not price.is_tree) == nontree
@@ -734,14 +733,12 @@ class _SerialPool:
 
 
 def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
-    serial_enum = enumerate_equilibria(GameConfig(4, Fraction(2)))
-    serial_search = search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5,
-                                              iterations=3)
+    cfg = GameConfig(4, Fraction(1, 2))
+    serial = [search_nontree_equilibria(cfg, seed=5, iterations=k) for k in (3, 6)]
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert enumerate_equilibria(GameConfig(4, Fraction(2)), workers=100_000) == serial_enum
-    assert search_nontree_equilibria(GameConfig(4, Fraction(1, 2)), seed=5, iterations=3,
-                                     workers=100_000) == serial_search
-    # 6 one-class chunks on 4 cores, then 3 iterations on 4 cores
-    assert ctx.sizes == [4, 3]
+    assert [search_nontree_equilibria(cfg, seed=5, iterations=k, workers=100_000)
+            for k in (3, 6)] == serial
+    # 3 iterations on 4 cores, then 6 iterations on 4 cores
+    assert ctx.sizes == [3, 4]

@@ -46,3 +46,23 @@ def test_zero_denominator_alpha_is_usage_error(name, capsys):
         load_script(name).main(["--alpha", "1/0"])
     assert exc.value.code == 2
     assert "not an exact rational: '1/0'" in capsys.readouterr().err
+
+
+def test_poa_scan_n2_prints_no_regime(tmp_path, capsys):
+    # The regime bounds 1/(n-2) and 2/(n-2) say nothing for n <= 2.
+    out = tmp_path / "poa.csv"
+    assert load_script("poa_scan").main(
+        ["--n", "2", "--alpha", "1", "25", "--out", str(out)]) == 0
+    assert csv_rows(out) == ["alpha,n,worst_eq_cost,opt_cost,poa,exhaustive",
+                             "1,2,3,3,1,true", "25,2,27,27,1,true"]
+    assert "expect" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["poa_scan", "tree_threshold_scan"])
+@pytest.mark.parametrize("n, code, prefix", [("7", 5, "size guard: "),
+                                             ("0", 3, "invalid configuration: ")])
+def test_bad_size_exits_like_ncg(name, n, code, prefix, capsys):
+    size = ["--n", n] if name == "poa_scan" else ["--n-min", n, "--n-max", n]
+    assert load_script(name).main([*size, "--alpha", "2"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
