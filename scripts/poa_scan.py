@@ -3,18 +3,19 @@
 
 Prints one exact rational PoA per (n, alpha) and, for n >= 3, flags the
 regimes the theory predicts: PoA = 1 below 1/(n-2), PoA <= 2 below
-2/(n-2), and PoA < 3 whenever every equilibrium is a tree. Exits like
-``ncg``: 5 past the enumeration size guard, 3 on an invalid n or alpha.
+2/(n-2), and PoA < 3 whenever every equilibrium is a tree. The CSV has
+the columns of ``ncg poa`` and is written atomically; an empty alpha list
+writes the header alone. Exits like ``ncg``: 5 past the enumeration size
+guard, 3 on an invalid n or alpha or an --out that cannot be written.
 
 Usage: python scripts/poa_scan.py [--n 5] [--out FILE.csv]
 """
 
 import argparse
-import csv
 import sys
 from fractions import Fraction
 
-from ncg.cli import _exact_rational
+from ncg.cli import CSV_SCHEMAS, _csv_text, _exact_rational, _write_text
 from ncg.errors import SizeGuard
 from ncg.game import GameConfig
 from ncg.optimum import price_of_anarchy
@@ -65,10 +66,11 @@ def main(argv=None) -> int:
         })
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        try:
+            _write_text(args.out, _csv_text(CSV_SCHEMAS["poa"], rows))
+        except ValueError as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 3
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -4,19 +4,20 @@
 Exhaustively enumerates all equilibria for each (n, alpha) on a rational
 alpha grid and reports where non-tree equilibria stop appearing. At desk
 scale the last non-tree equilibrium already vanishes a little above
-alpha = 2, far below the proven general threshold. Exits like ``ncg``: 5
-past the enumeration size guard, 3 on an invalid n or alpha.
+alpha = 2, far below the proven general threshold. The CSV is written
+atomically; an empty n range or alpha list writes the header alone. Exits
+like ``ncg``: 5 past the enumeration size guard, 3 on an invalid n or
+alpha or an --out that cannot be written.
 
 Usage: python scripts/tree_threshold_scan.py [--n-max 5] [--out FILE.csv]
 """
 
 import argparse
-import csv
 import sys
 import time
 from fractions import Fraction
 
-from ncg.cli import _exact_rational
+from ncg.cli import _csv_text, _exact_rational, _write_text
 from ncg.equilibrium import enumerate_equilibria
 from ncg.errors import SizeGuard
 from ncg.game import GameConfig
@@ -24,6 +25,8 @@ from ncg.game import GameConfig
 DEFAULT_GRID = [Fraction(x) for x in
                 ("1/4", "1/2", "3/4", "1", "3/2", "2", "9/4", "5/2", "3",
                  "4", "6", "10", "19", "20", "25")]
+FIELDS = ("n", "alpha", "equilibria", "tree_count", "nontree_count",
+          "worst_cost", "best_cost")
 
 
 def main(argv=None) -> int:
@@ -50,12 +53,12 @@ def main(argv=None) -> int:
                 print(f"invalid configuration: {exc}", file=sys.stderr)
                 return 3
             dt = time.perf_counter() - t0
-            print(f"{n:>3} {str(alpha):>8} {len(result.equilibria):>11} "
+            print(f"{n:>3} {str(alpha):>8} {len(result.codes):>11} "
                   f"{result.tree_count:>7} {result.nontree_count:>10} "
                   f"{str(result.worst_cost):>10} {str(result.best_cost):>10} {dt:>6.2f}")
             rows.append({
                 "n": n, "alpha": str(alpha),
-                "equilibria": len(result.equilibria),
+                "equilibria": len(result.codes),
                 "tree_count": result.tree_count,
                 "nontree_count": result.nontree_count,
                 "worst_cost": str(result.worst_cost),
@@ -70,10 +73,11 @@ def main(argv=None) -> int:
                   f"alpha = {last_nontree}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        try:
+            _write_text(args.out, _csv_text(FIELDS, rows))
+        except ValueError as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 3
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -29,7 +29,7 @@ from . import __version__
 from .errors import ProfileFormatError, SizeGuard
 from .game import GameConfig, StrategyProfile
 from .equilibrium import (best_response_dynamics, best_response_exact,
-                          enumerate_equilibria, is_nash, price_profile,
+                          enumerate_equilibria, is_nash,
                           search_nontree_equilibria)
 from .optimum import optimum_analytic, price_of_anarchy
 from .profiles import load_profile
@@ -127,6 +127,15 @@ def _loaded(config: ExperimentConfig):
         raise ValueError(f"cannot read {config.input}: {exc.strerror or exc}") from None
 
 
+def _csv_text(fieldnames, rows) -> str:
+    """A header line and one line per row dict, each ending in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_text(path: str, text: str) -> None:
     """Write through a temp file in the target's directory, renamed over the
     target, so a failed write leaves neither a partial target nor the temp."""
@@ -190,10 +199,10 @@ def _rows_dynamics(config):
     return rows, {"outcome": trace.outcome, "moves": len(trace.steps)}
 
 
-def _profile_row(game, profile, price):
+def _profile_row(game, code, price):
     return {
         "alpha": _fmt(game.alpha), "n": game.n,
-        "profile_id": profile.ownership_code(),
+        "profile_id": code,
         "edges": price.edges,
         "is_tree": _fmt(price.is_tree),
         "social_cost": _fmt(price.social_cost),
@@ -204,10 +213,10 @@ def _profile_row(game, profile, price):
 def _rows_enumerate(config):
     game = _game_config(config)
     result = enumerate_equilibria(game)
-    rows = [_profile_row(game, prof, price)
-            for prof, price in zip(result.equilibria, result.prices)]
+    rows = [_profile_row(game, code, price)
+            for code, price in zip(result.codes, result.prices)]
     extra = {
-        "equilibria": len(result.equilibria),
+        "equilibria": len(result.codes),
         "tree_count": result.tree_count,
         "nontree_count": result.nontree_count,
         "worst_cost": _fmt(result.worst_cost),
@@ -223,8 +232,7 @@ def _rows_search(config):
     found = search_nontree_equilibria(game, seed=config.seed,
                                       iterations=config.iterations,
                                       workers=config.workers)
-    return ([_profile_row(game, prof, price_profile(game, prof)) for prof in found],
-            {"found": len(found)})
+    return [_profile_row(game, code, price) for code, price in found], {"found": len(found)}
 
 
 def _rows_audit(config):
@@ -297,12 +305,9 @@ def run(config: ExperimentConfig) -> RunManifest:
     started = time.perf_counter()
     rows, extra = _RUNNERS[config.mode](config)
     schema = CSV_SCHEMAS[config.mode]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=schema, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_text(config.output, buf.getvalue())
-    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    text = _csv_text(schema, rows)
+    _write_text(config.output, text)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     manifest = RunManifest(
         tool="ncg", version=__version__, mode=config.mode,
         config={

@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeGuard
-from .game import (INF, GameConfig, StrategyProfile, agent_cost, bfs,
+from .game import (INF, GameConfig, StrategyProfile, _buys_masks, _decode,
+                   _digit_table, _encode, _mask_to_tuple, agent_cost, bfs,
                    build_graph, eccentricity)
 from .isomorphism import connected_classes, relabelings
 
@@ -81,8 +82,8 @@ class ProfilePrice:
 class EnumerationResult:
     alpha: Fraction
     n: int
-    equilibria: tuple
-    prices: tuple  # prices[i] is the ProfilePrice of equilibria[i]
+    codes: tuple  # every labeled equilibrium's ownership code, sorted
+    prices: tuple  # prices[i] is the ProfilePrice of codes[i]
     tree_count: int
     nontree_count: int
     worst_cost: Fraction | None
@@ -132,10 +133,6 @@ def _ecc_deviation(base_adj, v: int, smask: int, n: int):
     return 1 + bfs(base_adj, first | 1 << v, (1 << n) - 1)
 
 
-def _buys_masks(profile: StrategyProfile) -> list:
-    return [sum(1 << u for u in s) for s in profile.buys]
-
-
 def _adj_of(buys_masks) -> list:
     """Neighbour masks of the graph the purchase masks induce."""
     adj = list(buys_masks)
@@ -145,10 +142,6 @@ def _adj_of(buys_masks) -> list:
             adj[low.bit_length() - 1] |= 1 << u
             m ^= low
     return adj
-
-
-def _mask_to_tuple(mask: int) -> tuple:
-    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
 
 
 def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
@@ -358,12 +351,6 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
     return DynamicsTrace(steps=tuple(steps), outcome=outcome, final_profile=final)
 
 
-def _digit_table(buys_masks, n: int) -> list:
-    """``digit[i][j]``: ownership-code digit of (i, j), 1 if i buys j + 2 if j buys i."""
-    return [[str((buys_masks[i] >> j & 1) + 2 * (buys_masks[j] >> i & 1))
-             for j in range(n)] for i in range(n)]
-
-
 def _orbit(buys_masks, perms) -> set:
     """Ownership codes of every relabeling in ``perms`` of the profile;
     relabeled by p, the pair (a, b) carries the digit of (p[a], p[b])."""
@@ -385,12 +372,6 @@ def _price(alpha: Fraction, n: int, adj, buys_masks) -> ProfilePrice:
     return ProfilePrice(edges, costs[0] != INF and edges == n - 1, sum(costs), max(costs))
 
 
-def price_profile(config: GameConfig, profile: StrategyProfile) -> ProfilePrice:
-    """Edges, tree-ness, social cost and largest agent cost of a profile."""
-    buys_masks = _buys_masks(profile)
-    return _price(config.alpha, config.n, _adj_of(buys_masks), buys_masks)
-
-
 def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
     """Exact Nash decision on mask-level state (hot path for enumeration)."""
     if bfs(adj, 1, (1 << n) - 1) == INF:
@@ -403,20 +384,19 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
     """Append the ownership code of every Nash orientation of the connected
     graph ``adj`` to ``found``; return (content checks, assignments tried).
 
-    Each edge (u, w, i) of ``edges``, in pair order with pair index i, goes
-    to u (digit 1) or to w (digit 2). A vertex is checked as soon as its
-    last incident edge is assigned, and the branch is cut unless its owned
-    set is content: it leaves the vertex no strictly improving move. Under
-    single ownership that depends on the graph and the owned set alone
-    (_base_adj strips exactly the vertex's purchases, whose other ends
-    never own them back), so each (vertex, owned set) is decided once per
-    graph, on the partial purchase masks at hand.
+    Each edge (u, w) of ``edges``, u < w in pair order, goes to u, then to
+    w. A vertex is checked as soon as its last incident edge is assigned,
+    and the branch is cut unless its owned set is content: it leaves the
+    vertex no strictly improving move. Under single ownership that depends
+    on the graph and the owned set alone (_base_adj strips exactly the
+    vertex's purchases, whose other ends never own them back), so each
+    (vertex, owned set) is decided once per graph, on the partial purchase
+    masks at hand.
     """
     owned = [0] * n
     tables = [{} for _ in range(n)]
-    code = ["0"] * (n * (n - 1) // 2)
     last = {}
-    for j, (u, w, _) in enumerate(edges):
+    for j, (u, w) in enumerate(edges):
         last[u] = last[w] = j
     completes = [[] for _ in edges]
     for v in range(n):
@@ -436,13 +416,12 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
     def orient(j) -> None:
         nonlocal tried
         if j == len(edges):
-            found.append("".join(code))
+            found.append(_encode(owned))
             return
-        u, w, i = edges[j]
-        for owner, bit, digit in ((u, 1 << w, "1"), (w, 1 << u, "2")):
+        u, w = edges[j]
+        for owner, bit in ((u, 1 << w), (w, 1 << u)):
             tried += 1
             owned[owner] |= bit
-            code[i] = digit
             if all(content(v) for v in completes[j]):
                 orient(j + 1)
             owned[owner] ^= bit
@@ -464,13 +443,12 @@ def _class_orbits(n: int, alpha: Fraction) -> tuple:
     orbit of the same representative already holds is skipped.
     """
     p, q = alpha.numerator, alpha.denominator
-    pairs = list(combinations(range(n), 2))
     perms = relabelings(n)
     classes = connected_classes(n)
     orbits = []
     checks = tried = 0
     for adj in classes:
-        edges = [(u, w, i) for i, (u, w) in enumerate(pairs) if adj[u] >> w & 1]
+        edges = [(u, w) for u, w in combinations(range(n), 2) if adj[u] >> w & 1]
         found = []
         c, t = _nash_orientations(p, q, n, adj, edges, found)
         checks += c
@@ -479,12 +457,7 @@ def _class_orbits(n: int, alpha: Fraction) -> tuple:
         for code in found:
             if code in done:
                 continue
-            buys_masks = [0] * n
-            for (u, w), digit in zip(pairs, code):
-                if digit == "1":
-                    buys_masks[u] |= 1 << w
-                elif digit == "2":
-                    buys_masks[w] |= 1 << u
+            buys_masks = _decode(n, code)
             orbit = _orbit(buys_masks, perms)
             done |= orbit
             orbits.append((sorted(orbit), _price(alpha, n, adj, buys_masks)))
@@ -503,8 +476,9 @@ def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
     Disconnected graphs are never Nash (buying every link beats an
     infinite usage cost), and neither are doubly-bought edges: either
     buyer could drop its copy and save alpha > 0 with the graph unchanged
-    (checked separately in the test suite). Output is sorted by ownership
-    code and ``prices`` runs parallel to it. The work runs in this process.
+    (checked separately in the test suite). The result carries the
+    labeled equilibria as ownership codes, sorted, with ``prices`` parallel
+    to them; no profile is built. The work runs in this process.
     """
     n = config.n
     if n > ENUMERATION_MAX_N:
@@ -515,7 +489,7 @@ def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
     tree_count = sum(len(codes) for codes, price in orbits if price.is_tree)
     return EnumerationResult(
         alpha=config.alpha, n=n,
-        equilibria=tuple(StrategyProfile.from_ownership_code(n, c) for c, _ in labeled),
+        codes=tuple(code for code, _ in labeled),
         prices=tuple(price for _, price in labeled),
         tree_count=tree_count, nontree_count=len(labeled) - tree_count,
         worst_cost=max(costs) if costs else None,
@@ -551,7 +525,8 @@ def _random_buys_masks(rng: random.Random, n: int) -> list:
 
 
 def _search_iteration(args):
-    """One restart: single improving moves on mask state, then exact verification."""
+    """One restart: single improving moves on mask state, then exact
+    verification; a non-tree equilibrium comes back as (code, price)."""
     n, alpha, seed, iteration = args
     rng = random.Random(_derive_seed(seed, iteration))
     buys_masks = _random_buys_masks(rng, n)
@@ -571,8 +546,7 @@ def _search_iteration(args):
     edges = sum(bin(m).count("1") for m in adj) // 2
     if edges == n - 1 or not _profile_is_nash_masks(p, q, n, adj, buys_masks):
         return None  # a tree, disconnected, or not an equilibrium
-    digit = _digit_table(buys_masks, n)
-    return "".join(digit[u][v] for u, v in combinations(range(n), 2))
+    return _encode(buys_masks), _price(alpha, n, adj, buys_masks)
 
 
 def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
@@ -581,8 +555,10 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
 
     Random restarts descend by single improving moves; candidates whose
     graph has a cycle are then verified exactly (which bounds n by the
-    exhaustive-verification guard). An empty result proves nothing.
-    Deterministic for a given seed, independent of worker count.
+    exhaustive-verification guard). Returns the distinct finds as
+    (ownership code, ProfilePrice) pairs sorted by code; an empty result
+    proves nothing. Deterministic for a given seed, independent of worker
+    count.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -590,5 +566,4 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
         raise SizeGuard(f"search needs n <= {BEST_RESPONSE_MAX_N}, got {config.n}")
     args = [(config.n, config.alpha, seed, it) for it in range(iterations)]
     results = _parallel_map(_search_iteration, args, workers)
-    codes = sorted({code for code in results if code is not None})
-    return tuple(StrategyProfile.from_ownership_code(config.n, c) for c in codes)
+    return tuple(sorted(dict(found for found in results if found is not None).items()))

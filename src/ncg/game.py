@@ -95,24 +95,47 @@ class StrategyProfile:
         3 = both buy. Uniquely identifies the profile and is safe to
         round-trip through reports.
         """
-        digits = []
-        for u, v in combinations(range(self.n), 2):
-            d = (1 if v in self.buys[u] else 0) + (2 if u in self.buys[v] else 0)
-            digits.append(str(d))
-        return "".join(digits)
+        return _encode(_buys_masks(self))
 
     @classmethod
     def from_ownership_code(cls, n: int, code: str) -> "StrategyProfile":
-        pairs = list(combinations(range(n), 2))
-        if len(code) != len(pairs) or any(c not in "0123" for c in code):
+        if len(code) != n * (n - 1) // 2 or any(c not in "0123" for c in code):
             raise ValueError(f"bad ownership code for n={n}: {code!r}")
-        buys: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), c in zip(pairs, code):
-            if c in "13":
-                buys[u].append(v)
-            if c in "23":
-                buys[v].append(u)
-        return cls.from_sets(buys)
+        return cls(tuple(_mask_to_tuple(m) for m in _decode(n, code)))
+
+
+# The one ownership-code codec, on purchase masks (bit u of masks[v]: v buys u).
+def _buys_masks(profile: StrategyProfile) -> list:
+    return [sum(1 << u for u in s) for s in profile.buys]
+
+
+def _mask_to_tuple(mask: int) -> tuple:
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+
+
+def _encode(buys_masks) -> str:
+    """Ownership code of the purchase masks: per pair u < v, the digit
+    1 if u buys v plus 2 if v buys u."""
+    return "".join(str((buys_masks[u] >> v & 1) + 2 * (buys_masks[v] >> u & 1))
+                   for u, v in combinations(range(len(buys_masks)), 2))
+
+
+def _digit_table(buys_masks, n: int) -> list:
+    """``digit[i][j]``: _encode's digit of (i, j) for every ordered pair, so a
+    relabeled profile's code can be read off it pair by pair."""
+    return [[str((buys_masks[i] >> j & 1) + 2 * (buys_masks[j] >> i & 1))
+             for j in range(n)] for i in range(n)]
+
+
+def _decode(n: int, code: str) -> list:
+    """Purchase masks of a well-formed ownership code; nothing is checked."""
+    buys_masks = [0] * n
+    for (u, v), c in zip(combinations(range(n), 2), code):
+        if c in "13":
+            buys_masks[u] |= 1 << v
+        if c in "23":
+            buys_masks[v] |= 1 << u
+    return buys_masks
 
 
 class OwnedGraph:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import NotEquilibrium, NotTree, SizeGuard
-from .game import (GameConfig, StrategyProfile, agent_cost,
-                   all_pairs_distances, bfs, build_graph, metrics, social_cost)
-from .equilibrium import enumerate_equilibria, is_nash
+from .game import (GameConfig, StrategyProfile, _decode, _mask_to_tuple,
+                   agent_cost, all_pairs_distances, bfs, build_graph, metrics,
+                   social_cost)
+from .equilibrium import _orbit, enumerate_equilibria, is_nash
 from .isomorphism import connected_classes, relabelings
 
 OPTIMUM_BRUTEFORCE_MAX_N = 6
@@ -114,21 +114,14 @@ def optimum_bruteforce(config: GameConfig) -> OptimumResult:
             best_cost, optimal = cost, [adj]
         elif cost == best_cost:
             optimal.append(adj)
+    # Bought from both ends (adj as purchase masks), every labeled copy's
+    # code reads 3 per edge and 0 elsewhere; the smallest edge bitmask is
+    # the least code read backwards, since pair i is bit i.
     perms = relabelings(n)
-    best_edges = None
-    for adj in optimal:
-        flat = [adj[a] >> b & 1 for a in range(n) for b in range(n)]
-        for perm in perms:  # the labeled copies of the class
-            bits = sum(1 << i for i, j in enumerate(perm) if flat[j])
-            if best_edges is None or bits < best_edges:
-                best_edges = bits
-    pairs = list(combinations(range(n), 2))
-    buys: list[set] = [set() for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        if (best_edges >> i) & 1:
-            buys[u].add(v)
+    code = min((c for adj in optimal for c in _orbit(adj, perms)), key=lambda c: c[::-1])
+    buys_masks = _decode(n, code.replace("3", "1"))
     return OptimumResult(cost=best_cost,
-                         witness=StrategyProfile.from_sets(buys),
+                         witness=StrategyProfile(tuple(map(_mask_to_tuple, buys_masks))),
                          method="brute-force")
 
 
@@ -144,7 +137,7 @@ def price_of_anarchy(config: GameConfig, equilibria=None) -> PoAReport:
     if exhaustive:
         # Priced once per isomorphism class by the enumeration.
         result = enumerate_equilibria(config)
-        worst, considered = result.worst_cost, len(result.equilibria)
+        worst, considered = result.worst_cost, len(result.codes)
     else:
         costs = [social_cost(config, prof) for prof in equilibria]
         worst, considered = max(costs, default=None), len(costs)

@@ -26,6 +26,11 @@ def strategy_profiles(draw, min_n=1, max_n=7):
     return StrategyProfile.from_sets(buys)
 
 
+def profiles_of(n, codes):
+    """The profiles of ownership codes, as enumeration and search report them."""
+    return [StrategyProfile.from_ownership_code(n, code) for code in codes]
+
+
 def directed_cycle_profile(n):
     return StrategyProfile.from_sets([{(i + 1) % n} for i in range(n)])
 

@@ -54,6 +54,16 @@ def social_cost(n, alpha, buys):
     return total
 
 
+def ownership_code(n, buys):
+    """One digit per vertex pair (u, v), u < v, in lexicographic order:
+    0 no edge, 1 u buys, 2 v buys, 3 both buy."""
+    digits = []
+    for u, v in combinations(range(n), 2):
+        d = (1 if v in buys[u] else 0) + (2 if u in buys[v] else 0)
+        digits.append(str(d))
+    return "".join(digits)
+
+
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import directed_cycle_profile, random_connected_graph_edges
+from conftest import (directed_cycle_profile, profiles_of,
+                      random_connected_graph_edges)
 from ncg.cli import main
 from ncg.game import GameConfig, StrategyProfile, build_graph, social_cost
 from ncg.equilibrium import (enumerate_equilibria, improving_move_heuristic,
@@ -40,7 +41,7 @@ def test_criterion_1_tree_theorem_at_desk_scale():
             t0 = time.perf_counter()
             result = enum(n, alpha)
             slowest = max(slowest, time.perf_counter() - t0)
-            assert result.equilibria, f"no equilibria at n={n}, alpha={alpha}"
+            assert result.codes, f"no equilibria at n={n}, alpha={alpha}"
             assert result.nontree_count == 0, \
                 f"non-tree equilibrium at n={n}, alpha={alpha}"
             assert slowest < 60.0
@@ -54,7 +55,7 @@ def test_criterion_2_lemma_audit_closure():
     jobs += [(n, a) for n in (2, 3, 4, 5) for a in (Fraction(3), Fraction(6), Fraction(25))]
     for n, alpha in jobs:
         cfg = GameConfig(n, alpha)
-        for profile in enum(n, alpha).equilibria:
+        for profile in profiles_of(n, enum(n, alpha).codes):
             report = audit_equilibrium_structure(cfg, profile)
             failures = report.failures()
             assert not failures, (
@@ -76,7 +77,7 @@ def test_criterion_3_poa_bounds():
         alpha = Fraction(1, 2 * (n - 2))
         cfg = GameConfig(n, alpha)
         result = enum(n, alpha)
-        report = price_of_anarchy(cfg, equilibria=result.equilibria)
+        report = price_of_anarchy(cfg, equilibria=profiles_of(n, result.codes))
         assert report.equilibria_considered > 0
         assert report.poa == 1, f"poa {report.poa} != 1 at n={n}, alpha={alpha}"
         assert report.optimum_cost == optimum_bruteforce(cfg).cost
@@ -86,11 +87,12 @@ def test_criterion_3_poa_bounds():
         for alpha in (Fraction(20), Fraction(25)):
             cfg = GameConfig(n, alpha)
             result = enum(n, alpha)
-            report = price_of_anarchy(cfg, equilibria=result.equilibria)
+            profiles = profiles_of(n, result.codes)
+            report = price_of_anarchy(cfg, equilibria=profiles)
             assert report.poa is not None and report.poa < 3
             assert report.optimum_cost == optimum_bruteforce(cfg).cost
             assert result.nontree_count == 0
-            for profile in result.equilibria:
+            for profile in profiles:
                 cert = tree_poa_certificate(cfg, profile)
                 assert cert.passed()
                 assert Fraction(cert.diameter) <= 2 * alpha + 3

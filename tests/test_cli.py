@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ncg
+import ncg.equilibrium as equilibrium
 from conftest import alphas, strategy_profiles
 from ncg.cli import MODES, ExperimentConfig, main, run
 from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
@@ -288,6 +289,50 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _count_code_and_price_calls(monkeypatch) -> dict:
+    """Count ownership-code encodes and decodes, and equilibrium._price calls."""
+    counts = {"code": 0, "price": 0}
+    decode = StrategyProfile.from_ownership_code.__func__
+    encode = StrategyProfile.ownership_code
+    price = equilibrium._price
+
+    def counted_decode(cls, n, code):
+        counts["code"] += 1
+        return decode(cls, n, code)
+
+    def counted_encode(self):
+        counts["code"] += 1
+        return encode(self)
+
+    def counted_price(*args):
+        counts["price"] += 1
+        return price(*args)
+
+    monkeypatch.setattr(StrategyProfile, "from_ownership_code", classmethod(counted_decode))
+    monkeypatch.setattr(StrategyProfile, "ownership_code", counted_encode)
+    monkeypatch.setattr(equilibrium, "_price", counted_price)
+    return counts
+
+
+class TestNoCodeRoundTrip:
+    """Enumeration and search hand their codes to the rows as they are:
+    no profile is built from a code and encoded again."""
+
+    @pytest.mark.parametrize("mode", ["enumerate", "poa"])
+    def test_enumerate_and_poa(self, tmp_path, monkeypatch, mode):
+        classes = len(equilibrium.enumerate_equilibria(GameConfig(5, Fraction(2))).canonical_forms)
+        counts = _count_code_and_price_calls(monkeypatch)
+        assert main([mode, "--n", "5", "--alpha", "2", "--out", str(tmp_path / "x.csv")]) == 0
+        assert counts == {"code": 0, "price": classes}
+
+    def test_search(self, tmp_path, monkeypatch):
+        counts = _count_code_and_price_calls(monkeypatch)
+        assert main(["search", "--n", "6", "--alpha", "1", "--iters", "40", "--seed", "3",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert read_csv(tmp_path / "x.csv")  # the run finds something to write
+        assert counts["code"] == 0
 
 
 def test_console_entry_point(tmp_path):

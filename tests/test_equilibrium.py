@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (ALPHAS, alphas, directed_cycle_profile, random_profile,
-                      strategy_profiles)
+from conftest import (ALPHAS, alphas, directed_cycle_profile, profiles_of,
+                      random_profile, strategy_profiles)
 from ncg.errors import SizeGuard
 from ncg.game import INF, GameConfig, StrategyProfile, bfs, build_graph, social_cost
 from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
@@ -270,32 +270,33 @@ class TestDynamics:
 class TestEnumeration:
     def test_n2_exactly_two_single_edge_profiles(self):
         result = enumerate_equilibria(GameConfig(2, Fraction(3)))
-        assert {p.buys for p in result.equilibria} == {((1,), ()), ((), (0,))}
+        assert result.codes == ("1", "2")  # 0 buys the edge; 1 buys it
 
     def test_trees_only_at_high_alpha(self):
         result = enumerate_equilibria(GameConfig(3, Fraction(25)))
-        assert result.equilibria and result.nontree_count == 0
+        assert result.codes and result.nontree_count == 0
 
     def test_low_alpha_everything_optimal(self):
         cfg = GameConfig(4, Fraction(1, 3))
         result = enumerate_equilibria(cfg)
-        assert result.equilibria
-        opt = min(social_cost(cfg, p) for p in result.equilibria)
-        assert all(social_cost(cfg, p) == opt for p in result.equilibria)
+        profiles = profiles_of(4, result.codes)
+        assert profiles
+        opt = min(social_cost(cfg, p) for p in profiles)
+        assert all(social_cost(cfg, p) == opt for p in profiles)
         assert result.worst_cost == result.best_cost == opt
 
     def test_counts_and_costs_consistent(self):
         cfg = GameConfig(4, Fraction(2))
         result = enumerate_equilibria(cfg)
-        assert result.tree_count + result.nontree_count == len(result.equilibria)
-        costs = [social_cost(cfg, p) for p in result.equilibria]
+        assert result.tree_count + result.nontree_count == len(result.codes)
+        costs = [social_cost(cfg, p) for p in profiles_of(4, result.codes)]
         assert result.worst_cost == max(costs)
         assert result.best_cost == min(costs)
 
     def test_every_reported_equilibrium_reverifies(self):
         cfg = GameConfig(4, Fraction(5, 2))
         result = enumerate_equilibria(cfg)
-        for profile in result.equilibria:
+        for profile in profiles_of(4, result.codes):
             assert is_nash(cfg, profile).is_nash
 
     def test_size_guard(self):
@@ -310,7 +311,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(25)])
     def test_relabeling_bijects_equilibrium_set(self, alpha):
         cfg = GameConfig(4, alpha)
-        base = {p.buys for p in enumerate_equilibria(cfg).equilibria}
+        base = {p.buys for p in profiles_of(4, enumerate_equilibria(cfg).codes)}
         rng = random.Random(3)
         perm = list(range(4))
         rng.shuffle(perm)
@@ -357,7 +358,7 @@ class TestEnumeration:
     def test_canonical_forms_are_isomorphism_invariants(self):
         result = enumerate_equilibria(GameConfig(3, Fraction(25)))
         assert result.canonical_forms == tuple(sorted(set(result.canonical_forms)))
-        for profile in result.equilibria:
+        for profile in profiles_of(3, result.codes):
             assert isomorphism_canonical_code(profile) in result.canonical_forms
 
 
@@ -395,7 +396,7 @@ def _state_walk_codes(n, alpha):
 
 
 def _codes(result):
-    return [profile.ownership_code() for profile in result.equilibria]
+    return list(result.codes)
 
 
 @st.composite
@@ -473,7 +474,7 @@ def _labeled_walk(args):
             if g >> i & 1:
                 adj[u] |= 1 << w
                 adj[w] |= 1 << u
-                edges.append((u, w, i))
+                edges.append((u, w))
         if bfs(adj, 1, (1 << n) - 1) != INF:
             _nash_orientations(p, q, n, adj, edges, found)
     return found
@@ -516,14 +517,14 @@ class TestClassFirstEnumeration:
                              [(Fraction(1, 2), 14112, 28), (Fraction(25), 8232, 30)])
     def test_pinned_counts_n6(self, alpha, equilibria, classes):
         result = enumerate_equilibria(GameConfig(6, alpha))
-        assert (len(result.equilibria), len(result.canonical_forms)) == (equilibria, classes)
+        assert (len(result.codes), len(result.canonical_forms)) == (equilibria, classes)
 
     @pytest.mark.parametrize("n, alpha", [(4, Fraction(1, 3)), (5, Fraction(1, 2)),
                                           (5, Fraction(2))])
     def test_prices_match_oracle(self, n, alpha):
         result = enumerate_equilibria(GameConfig(n, alpha))
-        assert len(result.prices) == len(result.equilibria)
-        for profile, price in zip(result.equilibria, result.prices):
+        assert len(result.prices) == len(result.codes)
+        for profile, price in zip(profiles_of(n, result.codes), result.prices):
             buys = profile.buys
             edges = sum(map(len, buys))
             connected = oracles.eccentricity(n, oracles.adjacency(n, buys), 0) != INF
@@ -559,10 +560,10 @@ class TestSearch:
         cfg = GameConfig(5, Fraction(1, 2))
         found = search_nontree_equilibria(cfg, seed=7, iterations=150)
         assert found  # the probe should land on something at this alpha
-        enumerated = {p.buys for p in enumerate_equilibria(cfg).equilibria
-                      if not build_graph(p).is_tree()}
-        for profile in found:
-            assert profile.buys in enumerated
+        result = enumerate_equilibria(cfg)
+        # Each find carries the same price as its enumerated copy.
+        assert set(found) <= {(code, price) for code, price in zip(result.codes, result.prices)
+                              if not price.is_tree}
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -582,7 +583,8 @@ class TestSearch:
 
     def test_every_find_is_nash_with_cycle(self):
         cfg = GameConfig(5, Fraction(1, 2))
-        for profile in search_nontree_equilibria(cfg, seed=9, iterations=80):
+        found = search_nontree_equilibria(cfg, seed=9, iterations=80)
+        for profile in profiles_of(5, [code for code, _ in found]):
             graph = build_graph(profile)
             assert graph.is_connected() and not graph.is_tree()
             assert is_nash(cfg, profile).is_nash
@@ -608,13 +610,13 @@ class TestNoDoublePurchaseAtRest:
                 assert not _has_double_purchase(trace.final_profile)
 
     def test_search_findings(self):
-        for profile in search_nontree_equilibria(GameConfig(5, Fraction(1, 2)),
-                                                 seed=13, iterations=60):
+        found = search_nontree_equilibria(GameConfig(5, Fraction(1, 2)), seed=13, iterations=60)
+        for profile in profiles_of(5, [code for code, _ in found]):
             assert not _has_double_purchase(profile)
 
     def test_enumerations_above_two(self):
         for alpha in (Fraction(5, 2), Fraction(25)):
-            for profile in enumerate_equilibria(GameConfig(4, alpha)).equilibria:
+            for profile in profiles_of(4, enumerate_equilibria(GameConfig(4, alpha)).codes):
                 assert not _has_double_purchase(profile)
 
 

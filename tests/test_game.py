@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import alphas, strategy_profiles
 from ncg.errors import SizeGuard
-from ncg.game import (INF, MAX_AGENTS, GameConfig, StrategyProfile, agent_cost,
+from ncg.game import (INF, MAX_AGENTS, GameConfig, StrategyProfile, _buys_masks,
+                      _decode, _digit_table, _encode, agent_cost,
                       all_pairs_distances, build_graph, metrics, social_cost)
 
 
@@ -54,6 +56,32 @@ class TestConfigAndProfileInvariants:
         code = p.ownership_code()  # pairs (0,1), (0,2), (1,2)
         assert code == "301"
         assert StrategyProfile.from_ownership_code(3, code) == p
+
+
+class TestOwnershipCodec:
+    """The mask-level encoder and decoder against the reference encoder."""
+
+    @given(strategy_profiles(max_n=8))
+    @example(StrategyProfile.from_sets([{1, 3}, {0}, set(), set(), {2}]))  # 0-1 twice
+    @example(StrategyProfile.from_sets([{2}, set(), {0}, set()]))  # 1 and 3 isolated
+    @example(StrategyProfile.empty(1))
+    @settings(max_examples=150, deadline=None)
+    def test_against_reference_encoder(self, profile):
+        n = profile.n
+        code = oracles.ownership_code(n, profile.buys)
+        masks = _buys_masks(profile)
+        assert _encode(masks) == profile.ownership_code() == code
+        assert _decode(n, code) == masks
+        assert StrategyProfile.from_ownership_code(n, code) == profile
+        digit = _digit_table(masks, n)
+        for (u, v), d in zip(combinations(range(n), 2), code):
+            assert digit[u][v] == d and digit[v][u] == "0213"[int(d)]
+
+    @pytest.mark.parametrize("n, code", [(3, "30"), (3, "3010"), (1, "0"), (0, "1"),
+                                         (3, "304"), (3, "3-1"), (2, "x"), (4, "00 000")])
+    def test_rejects_wrong_length_or_digit(self, n, code):
+        with pytest.raises(ValueError, match="bad ownership code"):
+            StrategyProfile.from_ownership_code(n, code)
 
 
 class TestBuildGraph:

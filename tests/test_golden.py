@@ -77,6 +77,9 @@ JOBS = {
     "best-response": ["best-response", "--in", "rand8.ncg", "--agent", "2"],
     "poa": ["poa", "--n", "4", "--alpha", "2"],
     "optimum": ["optimum", "--n", "5", "--alpha", "1/3"],
+    # The largest n that enumeration and the brute-force optimum accept.
+    "enumerate-n6": ["enumerate", "--n", "6", "--alpha", "1/2"],
+    "poa-n6": ["poa", "--n", "6", "--alpha", "2"],
     "audit-a3": ["audit", "--in", "audit-a3.ncg", "--witnesses"],
     "audit-a25": ["audit", "--in", "audit-a25.ncg", "--witnesses"],
 }
@@ -92,10 +95,14 @@ GOLDEN = {
     "dynamics-in.stdout": "c0347ca9430c9500f5163223cfb6136a1f0274fb0970e86e11cc0516d1767deb",
     "dynamics.csv": "e4272a2225b2e2b12711b48bae7b02045fc0347d3aae742eb5cc798e80d1dcf4",
     "dynamics.stdout": "97711a858f2093537c64c6009e4e04c9703f414f84fb2cd30d30eb3170d140f1",
+    "enumerate-n6.csv": "db72a42f864459284126129ebce97a37a002ae389d1169f8b0b03cf73b7837fb",
+    "enumerate-n6.stdout": "309ad834b2dd18fffd0ac97394210a14cd4cfbdbd0b6090954d32b8a38963354",
     "enumerate.csv": "40c773f05a2170a459f983d181eb95714bae0279e03e5e205ac9bb7dad5afa74",
     "enumerate.stdout": "eb0105687fabf9e68c887c8bdecb5568cef790105ee5135bff64e03053fc6b76",
     "optimum.csv": "c2bf9641052b8c9085132d0c73edd6e226a284ae269b8fe4adf7b35f3a27c371",
     "optimum.stdout": "d1138e0e83310395c7a18f2672252e8e7f68f7c262420999451e41cd72aa9a7a",
+    "poa-n6.csv": "5675f19960d2fdba97094de1147cd9ad001ab5352fdf145f9e4f28dcb1bb2e41",
+    "poa-n6.stdout": "6b2327bb9347cb509cbe6d81e4313208c2918e5947be3afd1db644d2cc002b43",
     "poa.csv": "824b91f8327be984433f8c182d3722988110195f166d1f411ed96db3dc682a96",
     "poa.stdout": "5141ee14820651f8fddbf3d8fa43e02a27238cb4390c11a73e73c45d119c9783",
     "search.csv": "509c5824153ce35c14d6d54afeb40587fae6c7644d547e192371badc61d7e06f",

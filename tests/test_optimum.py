@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import directed_cycle_profile
+from conftest import directed_cycle_profile, profiles_of
 from ncg.errors import NotEquilibrium, NotTree, SizeGuard
 from ncg.game import INF, GameConfig, StrategyProfile, build_graph, eccentricity, social_cost
 from ncg.equilibrium import enumerate_equilibria
@@ -125,7 +125,7 @@ class TestPriceOfAnarchy:
 
     def test_supplied_equilibria_mode(self):
         cfg = GameConfig(5, Fraction(25))
-        eqs = enumerate_equilibria(cfg).equilibria[:10]
+        eqs = profiles_of(5, enumerate_equilibria(cfg).codes[:10])
         report = price_of_anarchy(cfg, equilibria=eqs)
         assert not report.exhaustive
         assert report.equilibria_considered == 10
@@ -176,7 +176,7 @@ class TestTreePoaCertificate:
         cfg = GameConfig(4, Fraction(25))
         result = enumerate_equilibria(cfg)
         assert result.nontree_count == 0
-        for profile in result.equilibria:
+        for profile in profiles_of(4, result.codes):
             cert = tree_poa_certificate(cfg, profile)
             assert cert.passed()
             assert Fraction(cert.diameter) <= 2 * cfg.alpha + 3

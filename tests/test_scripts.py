@@ -66,3 +66,27 @@ def test_bad_size_exits_like_ncg(name, n, code, prefix, capsys):
     assert load_script(name).main([*size, "--alpha", "2"]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_poa_scan_empty_grid_writes_header_only(tmp_path):
+    out = tmp_path / "poa.csv"
+    assert load_script("poa_scan").main(["--n", "4", "--alpha", "--out", str(out)]) == 0
+    assert csv_rows(out) == ["alpha,n,worst_eq_cost,opt_cost,poa,exhaustive"]
+
+
+def test_tree_threshold_scan_empty_range_writes_header_only(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert load_script("tree_threshold_scan").main(
+        ["--n-min", "5", "--n-max", "4", "--out", str(out)]) == 0
+    assert csv_rows(out) == [
+        "n,alpha,equilibria,tree_count,nontree_count,worst_cost,best_cost"]
+
+
+@pytest.mark.parametrize("name", ["poa_scan", "tree_threshold_scan"])
+def test_unwritable_out_exits_like_ncg(name, tmp_path, capsys):
+    size = ["--n", "3"] if name == "poa_scan" else ["--n-min", "3", "--n-max", "3"]
+    out = tmp_path / "nodir" / "x.csv"
+    assert load_script(name).main([*size, "--alpha", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert not (tmp_path / "nodir").exists()
