@@ -5,10 +5,16 @@ JSON manifest alongside it recording the configuration, the CSV digest and
 the wall time. Identical configuration and seed reproduce byte-identical
 CSVs regardless of worker count; only manifest timestamps differ.
 
-Exit codes: 0 success (including verify reporting "not an equilibrium",
-and a run whose reader closed stdout early), 2 usage errors, 3 invalid
-configuration (an unreadable --in or unwritable --out included), 4 profile
-parse errors, 5 instance-size guard.
+``MODE_TABLE`` is the one list of modes: each entry holds the mode's row
+builder, CSV columns, help text and the flags it reads. A mode accepts its
+own flags plus ``--out`` and ``--workers``, which change where the output
+goes and how the work runs, never what is computed; any other flag is a
+usage error. An absent flag takes its ``ExperimentConfig`` default.
+
+Exit codes (``exit_status``, which the scripts share): 0 success (including
+verify reporting "not an equilibrium", and a run whose reader closed stdout
+early), 2 usage errors, 3 invalid configuration (an unreadable --in or
+unwritable --out included), 4 profile parse errors, 5 instance-size guard.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ProfileFormatError, SizeGuard
@@ -34,23 +42,6 @@ from .equilibrium import (best_response_dynamics, best_response_exact,
 from .optimum import optimum_analytic, price_of_anarchy
 from .profiles import load_profile
 from .structure import audit_equilibrium_structure, render_report
-
-MODES = ("verify", "best-response", "dynamics", "enumerate", "search",
-         "audit", "poa", "optimum")
-
-CSV_SCHEMAS = {
-    "verify": ["alpha", "n", "profile_id", "is_nash", "deviating_agent",
-               "old_cost", "new_cost", "new_strategy"],
-    "best-response": ["alpha", "n", "agent", "best_strategy", "best_cost"],
-    "dynamics": ["event", "step", "agent", "old_cost", "new_cost", "detail"],
-    "enumerate": ["alpha", "n", "profile_id", "edges", "is_tree",
-                  "social_cost", "max_agent_cost"],
-    "search": ["alpha", "n", "profile_id", "edges", "is_tree",
-               "social_cost", "max_agent_cost"],
-    "audit": ["profile_id", "check_id", "applicable", "passed", "witness_summary"],
-    "poa": ["alpha", "n", "worst_eq_cost", "opt_cost", "poa", "exhaustive"],
-    "optimum": ["alpha", "n", "method", "cost", "profile_id"],
-}
 
 
 @dataclass
@@ -180,6 +171,8 @@ def _rows_best_response(config):
 
 def _rows_dynamics(config):
     if config.input:
+        if config.n is not None or config.alpha is not None:
+            raise ValueError("mode dynamics takes --in or --n and --alpha, not both")
         game, initial = _loaded(config)
     else:
         game = _game_config(config)
@@ -215,7 +208,12 @@ def _rows_enumerate(config):
     result = enumerate_equilibria(game)
     rows = [_profile_row(game, code, price)
             for code, price in zip(result.codes, result.prices)]
-    extra = {
+    return rows, _enumeration_summary(result)
+
+
+def _enumeration_summary(result) -> dict:
+    """Counts and cost range of an enumeration, as its manifest records them."""
+    return {
         "equilibria": len(result.codes),
         "tree_count": result.tree_count,
         "nontree_count": result.nontree_count,
@@ -224,7 +222,6 @@ def _rows_enumerate(config):
         "isomorphism_classes": len(result.canonical_forms),
         "stats": asdict(result.stats),
     }
-    return rows, extra
 
 
 def _rows_search(config):
@@ -284,28 +281,58 @@ def _rows_optimum(config):
     }], {}
 
 
-_RUNNERS = {
-    "verify": _rows_verify,
-    "best-response": _rows_best_response,
-    "dynamics": _rows_dynamics,
-    "enumerate": _rows_enumerate,
-    "search": _rows_search,
-    "audit": _rows_audit,
-    "poa": _rows_poa,
-    "optimum": _rows_optimum,
+class Mode(NamedTuple):
+    rows: Callable  # ExperimentConfig -> (CSV row dicts, manifest extra)
+    columns: list
+    help: str
+    flags: tuple  # what it reads besides --out and --workers
+
+
+_PROFILE_COLUMNS = ["alpha", "n", "profile_id", "edges", "is_tree",
+                    "social_cost", "max_agent_cost"]
+
+MODE_TABLE = {
+    "verify": Mode(
+        _rows_verify,
+        ["alpha", "n", "profile_id", "is_nash", "deviating_agent",
+         "old_cost", "new_cost", "new_strategy"],
+        "decide whether a profile is an equilibrium", ("--in",)),
+    "best-response": Mode(
+        _rows_best_response, ["alpha", "n", "agent", "best_strategy", "best_cost"],
+        "optimal strategy of one agent", ("--in", "--agent")),
+    "dynamics": Mode(
+        _rows_dynamics, ["event", "step", "agent", "old_cost", "new_cost", "detail"],
+        "iterated best-response dynamics, from --in or the empty profile",
+        ("--n", "--alpha", "--in", "--seed", "--schedule", "--budget")),
+    "enumerate": Mode(_rows_enumerate, _PROFILE_COLUMNS,
+                      "all equilibria at desk scale", ("--n", "--alpha")),
+    "search": Mode(_rows_search, _PROFILE_COLUMNS,
+                   "stochastic probe for non-tree equilibria",
+                   ("--n", "--alpha", "--seed", "--iters")),
+    "audit": Mode(
+        _rows_audit,
+        ["profile_id", "check_id", "applicable", "passed", "witness_summary"],
+        "structural predicate report for a profile", ("--in", "--witnesses")),
+    "poa": Mode(
+        _rows_poa, ["alpha", "n", "worst_eq_cost", "opt_cost", "poa", "exhaustive"],
+        "price of anarchy by exhaustive enumeration", ("--n", "--alpha")),
+    "optimum": Mode(_rows_optimum, ["alpha", "n", "method", "cost", "profile_id"],
+                    "closed-form social optimum", ("--n", "--alpha")),
 }
+MODES = tuple(MODE_TABLE)
+CSV_SCHEMAS = {name: mode.columns for name, mode in MODE_TABLE.items()}
 
 
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute one mode, write its CSV and manifest, return the manifest."""
-    if config.mode not in MODES:
+    mode = MODE_TABLE.get(config.mode)
+    if mode is None:
         raise ValueError(f"unknown mode {config.mode!r}")
     if not config.output:
         raise ValueError("an output path is required (--out FILE)")
     started = time.perf_counter()
-    rows, extra = _RUNNERS[config.mode](config)
-    schema = CSV_SCHEMAS[config.mode]
-    text = _csv_text(schema, rows)
+    rows, extra = mode.rows(config)
+    text = _csv_text(mode.columns, rows)
     _write_text(config.output, text)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     manifest = RunManifest(
@@ -317,7 +344,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             "agent": config.agent, "input": config.input,
             "workers": config.workers,
         },
-        csv_schema=schema, rows=len(rows), output=config.output,
+        csv_schema=mode.columns, rows=len(rows), output=config.output,
         sha256=digest, wall_time_s=round(time.perf_counter() - started, 6),
         created_utc=datetime.now(timezone.utc).isoformat(),
         extra=extra)
@@ -342,63 +369,51 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+_SCHEDULES = {"rr": "round-robin", "rand": "uniform-random"}
+
+# add_argument keywords of the flags a mode may read; each dest is an
+# ExperimentConfig field.
+_FLAGS = {
+    "--n": {"type": int},
+    "--alpha": {"type": _exact_rational, "help": "exact rational, e.g. 25 or 19/2"},
+    "--in": {"dest": "input", "metavar": "FILE"},
+    "--agent": {"type": int, "required": True},
+    "--seed": {"type": int},
+    "--schedule": {"choices": tuple(_SCHEDULES)},
+    "--budget": {"type": int},
+    "--iters": {"dest": "iterations", "type": int},
+    "--witnesses": {"dest": "show_witnesses", "action": "store_true",
+                    "help": "also print the report as a text block"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg",
         description="Max-distance network creation game toolkit")
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def common(p, needs_out=True):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--alpha", type=_exact_rational, default=None,
-                       help="exact rational, e.g. 25 or 19/2")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_worker_count, default=1)
-        p.add_argument("--in", dest="input", default=None, metavar="FILE")
-        p.add_argument("--out", dest="output", required=needs_out, metavar="FILE")
-
-    common(sub.add_parser("verify", help="decide whether a profile is an equilibrium"))
-    p = sub.add_parser("best-response", help="optimal strategy of one agent")
-    common(p)
-    p.add_argument("--agent", type=int, required=True)
-    p = sub.add_parser("dynamics", help="iterated best-response dynamics")
-    common(p)
-    p.add_argument("--schedule", choices=("rr", "rand"), default="rr")
-    p.add_argument("--budget", type=int, default=10_000)
-    common(sub.add_parser("enumerate", help="all equilibria at desk scale"))
-    p = sub.add_parser("search", help="stochastic probe for non-tree equilibria")
-    common(p)
-    p.add_argument("--iters", type=int, default=1000)
-    p = sub.add_parser("audit", help="structural predicate report for a profile")
-    common(p)
-    p.add_argument("--witnesses", action="store_true",
-                   help="also print the report as a text block")
-    common(sub.add_parser("poa", help="price of anarchy by exhaustive enumeration"))
-    common(sub.add_parser("optimum", help="closed-form social optimum"))
+    for name, mode in MODE_TABLE.items():
+        # An absent flag sets no attribute, so ExperimentConfig's default holds.
+        p = sub.add_parser(name, help=mode.help, argument_default=argparse.SUPPRESS)
+        for flag in mode.flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--workers", type=_worker_count)
+        p.add_argument("--out", dest="output", required=True, metavar="FILE")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    schedule = {"rr": "round-robin", "rand": "uniform-random"}.get(
-        getattr(args, "schedule", "rr"), "round-robin")
-    return ExperimentConfig(
-        mode=args.mode, n=args.n, alpha=args.alpha, seed=args.seed,
-        budget=getattr(args, "budget", 10_000),
-        iterations=getattr(args, "iters", 1000),
-        schedule=schedule, agent=getattr(args, "agent", None),
-        input=args.input, output=args.output, workers=args.workers,
-        show_witnesses=getattr(args, "witnesses", False))
+    flags = vars(args)
+    if "schedule" in flags:
+        flags = {**flags, "schedule": _SCHEDULES[flags["schedule"]]}
+    return ExperimentConfig(**flags)
 
 
-# Built once per process: building it costs milliseconds, which a caller
-# that runs many jobs through main() in one process would pay per job.
-_PARSER = build_parser()
-
-
-def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+def exit_status(work: Callable[[], object]) -> int:
+    """Call ``work()`` and return its exit code: 0, or after one stderr line
+    4 for a profile error, 5 for a size guard, 3 for any other ValueError."""
     try:
-        manifest = run(config_from_args(args))
+        work()
     except ProfileFormatError as exc:
         print(f"profile error: {exc}", file=sys.stderr)
         return 4
@@ -408,8 +423,22 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
-    _emit(f"{manifest.mode}: {manifest.rows} row(s) -> {manifest.output}\n")
     return 0
+
+
+# Built once per process: building it costs milliseconds, which a caller
+# that runs many jobs through main() in one process would pay per job.
+_PARSER = build_parser()
+
+
+def main(argv=None) -> int:
+    config = config_from_args(_PARSER.parse_args(argv))
+
+    def run_and_report():
+        manifest = run(config)
+        _emit(f"{manifest.mode}: {manifest.rows} row(s) -> {manifest.output}\n")
+
+    return exit_status(run_and_report)
 
 
 if __name__ == "__main__":

@@ -125,22 +125,23 @@ def optimum_bruteforce(config: GameConfig) -> OptimumResult:
                          method="brute-force")
 
 
-def price_of_anarchy(config: GameConfig, equilibria=None) -> PoAReport:
+def price_of_anarchy(config: GameConfig, prices=None) -> PoAReport:
     """Worst equilibrium social cost over the optimum.
 
-    Without a supplied equilibrium list this enumerates exhaustively (and
-    cross-checks the closed-form optimum against brute force). When no
-    equilibrium exists the ratio is reported as undefined (None), never
-    as 0 or infinity.
+    ``prices`` are the ``ProfilePrice`` records of the equilibria to
+    consider, as ``EnumerationResult.prices`` holds them. Without them this
+    enumerates exhaustively (and cross-checks the closed-form optimum
+    against brute force). When no equilibrium exists the ratio is reported
+    as undefined (None), never as 0 or infinity.
     """
-    exhaustive = equilibria is None
+    exhaustive = prices is None
     if exhaustive:
         # Priced once per isomorphism class by the enumeration.
         result = enumerate_equilibria(config)
         worst, considered = result.worst_cost, len(result.codes)
     else:
-        costs = [social_cost(config, prof) for prof in equilibria]
-        worst, considered = max(costs, default=None), len(costs)
+        worst = max((p.social_cost for p in prices), default=None)
+        considered = len(prices)
     opt = optimum_analytic(config)
     if exhaustive and config.n <= OPTIMUM_BRUTEFORCE_MAX_N:
         brute = optimum_bruteforce(config)

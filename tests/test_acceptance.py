@@ -77,7 +77,7 @@ def test_criterion_3_poa_bounds():
         alpha = Fraction(1, 2 * (n - 2))
         cfg = GameConfig(n, alpha)
         result = enum(n, alpha)
-        report = price_of_anarchy(cfg, equilibria=profiles_of(n, result.codes))
+        report = price_of_anarchy(cfg, prices=result.prices)
         assert report.equilibria_considered > 0
         assert report.poa == 1, f"poa {report.poa} != 1 at n={n}, alpha={alpha}"
         assert report.optimum_cost == optimum_bruteforce(cfg).cost
@@ -87,12 +87,11 @@ def test_criterion_3_poa_bounds():
         for alpha in (Fraction(20), Fraction(25)):
             cfg = GameConfig(n, alpha)
             result = enum(n, alpha)
-            profiles = profiles_of(n, result.codes)
-            report = price_of_anarchy(cfg, equilibria=profiles)
+            report = price_of_anarchy(cfg, prices=result.prices)
             assert report.poa is not None and report.poa < 3
             assert report.optimum_cost == optimum_bruteforce(cfg).cost
             assert result.nontree_count == 0
-            for profile in profiles:
+            for profile in profiles_of(n, result.codes):
                 cert = tree_poa_certificate(cfg, profile)
                 assert cert.passed()
                 assert Fraction(cert.diameter) <= 2 * alpha + 3

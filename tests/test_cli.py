@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import ncg
 import ncg.equilibrium as equilibrium
 from conftest import alphas, strategy_profiles
-from ncg.cli import MODES, ExperimentConfig, main, run
+from ncg.cli import MODE_TABLE, MODES, ExperimentConfig, build_parser, main, run
 from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
 from ncg.profiles import parse_profile, serialize_profile
 
@@ -153,6 +155,59 @@ class TestVerifyMode:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 5
         assert f"n must be <= {MAX_AGENTS} agents" in capsys.readouterr().err
+
+
+class TestModeFlags:
+    """A mode accepts only the flags it reads, plus --out and --workers."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--in", "p.ncg", "--alpha", "25"],
+        ["audit", "--in", "p.ncg", "--alpha", "25"],
+        ["enumerate", "--n", "3", "--alpha", "2", "--in", "x.ncg"],
+        ["optimum", "--n", "3", "--alpha", "2", "--seed", "4"]])
+    def test_flag_the_mode_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        write(tmp_path, "p.ncg", STAR3)
+        argv = [str(tmp_path / a) if a.endswith(".ncg") else a for a in argv]
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dynamics_with_profile_and_size_is_invalid(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        rc = main(["dynamics", "--in", write(tmp_path, "p.ncg", STAR3),
+                   "--n", "5", "--alpha", "25", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unknown_schedule_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--n", "3", "--alpha", "2", "--schedule", "bogus",
+                  "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_benchmark_job_argvs_parse(monkeypatch):
+    # The benchmark's job lists are frozen: a change to the CLI's flags must
+    # keep every one of them a valid command line.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for job in workloads.build(name, seed, 2)["jobs"]:
+                try:
+                    parser.parse_args(job["argv"])
+                except SystemExit:
+                    pytest.fail(f"{name} seed {seed}: {job['argv']} does not parse")
 
 
 class TestRowsAndManifests:
@@ -385,7 +440,7 @@ def test_serialized_profiles_from_rows_verify(tmp_path):
 
 
 # Flag values for the contract test: valid ones at n <= 5 and malformed,
-# out-of-range or oversized ones.
+# out-of-range or oversized ones. None stands for a flag that takes no value.
 _FLAG_VALUES = {
     "--n": ["1", "2", "3", "4", "5", "-1", "0", "x", str(MAX_AGENTS + 1)],
     "--alpha": ["1/2", "1", "2", "5/2", "25", "1/0", "abc", "0", "-1"],
@@ -396,40 +451,48 @@ _FLAG_VALUES = {
     "--budget": ["5", "-1", "0"],
     "--iters": ["1", "3", "0"],
     "--schedule": ["rr", "rand", "bogus"],
+    "--witnesses": [None],
 }
-_MODE_FLAGS = {"best-response": ["--agent"], "dynamics": ["--budget", "--schedule"],
-               "search": ["--iters"]}
 _BAD_LINES = ["buy 0 0", "buy 0 9", "buy 0", "n x", "n 0", "alpha 1/0",
               "alpha -1", "ncg v2", f"n {MAX_AGENTS + 1}", "buy 1 0"]
 
 
+def _flag(draw, flag):
+    value = draw(st.sampled_from(_FLAG_VALUES[flag]))
+    return [flag] if value is None else [flag, value]
+
+
 @st.composite
 def cli_calls(draw):
-    """An argv for a random mode plus the profile text behind its --in."""
+    """An argv for a random mode, the profile text behind its --in, and
+    whether the argv carries a flag its mode does not read."""
     profile = draw(strategy_profiles(max_n=5))
     lines = serialize_profile(GameConfig(profile.n, draw(alphas)), profile).splitlines()
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         at = draw(st.integers(0, len(lines)))
         lines[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_BAD_LINES))]
     mode = draw(st.sampled_from(MODES))
+    own = MODE_TABLE[mode].flags
     argv = [mode]
-    for flag in ["--n", "--alpha", "--in"] + _MODE_FLAGS.get(mode, []):
+    for flag in own:
         if draw(st.integers(0, 7)):  # mostly present: few runs stop at a missing flag
-            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
-    for flag in ("--workers", "--seed"):
-        if draw(st.booleans()):
-            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
-    if mode == "audit" and draw(st.booleans()):
-        argv.append("--witnesses")
+            argv += _flag(draw, flag)
+    if draw(st.booleans()):
+        argv += _flag(draw, "--workers")
+    stray = None
+    if draw(st.integers(0, 3)) == 0:
+        stray = draw(st.sampled_from([f for f in _FLAG_VALUES
+                                      if f not in own and f != "--workers"]))
+        argv += _flag(draw, stray)
     argv += ["--out", draw(st.sampled_from(["o.csv", "o.csv", "nodir/o.csv"]))]
-    return argv, "\n".join(lines) + "\n"
+    return argv, "\n".join(lines) + "\n", stray is not None
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cli_calls())
 def test_cli_contract_exit_codes(call):
-    argv, text = call
+    argv, text, stray = call
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "p.ncg"), "w") as fh:
             fh.write(text)
@@ -440,3 +503,5 @@ def test_cli_contract_exit_codes(call):
         except SystemExit as exc:  # argparse rejects the command line
             rc = exc.code
         assert rc in (0, 2, 3, 4, 5), argv
+        if stray:
+            assert rc == 2, argv

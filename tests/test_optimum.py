@@ -125,13 +125,14 @@ class TestPriceOfAnarchy:
 
     def test_supplied_equilibria_mode(self):
         cfg = GameConfig(5, Fraction(25))
-        eqs = profiles_of(5, enumerate_equilibria(cfg).codes[:10])
-        report = price_of_anarchy(cfg, equilibria=eqs)
+        prices = enumerate_equilibria(cfg).prices[:10]
+        report = price_of_anarchy(cfg, prices=prices)
         assert not report.exhaustive
         assert report.equilibria_considered == 10
+        assert report.worst_equilibrium_cost == max(p.social_cost for p in prices)
 
     def test_empty_equilibrium_list_reports_undefined(self):
-        report = price_of_anarchy(GameConfig(5, Fraction(25)), equilibria=[])
+        report = price_of_anarchy(GameConfig(5, Fraction(25)), prices=[])
         assert report.poa is None and report.worst_equilibrium_cost is None
 
     def test_poa_at_least_one_when_nonempty(self):
