@@ -11,9 +11,9 @@ from .errors import (AssignmentAmbiguous, BadHeader, BadRational,
                      BadVertexIndex, Disconnected, DuplicateBuy,
                      NotEquilibrium, NotTree, PreconditionUnmet,
                      ProfileFormatError, SizeGuard)
-from .game import (INF, CostBreakdown, DistanceTable, GameConfig, Metrics,
-                   OwnedGraph, StrategyProfile, agent_cost,
-                   all_pairs_distances, build_graph, metrics, social_cost)
+from .game import (INF, CostBreakdown, GameConfig, Metrics, OwnedGraph,
+                   StrategyProfile, agent_cost, all_pairs_distances,
+                   build_graph, metrics, social_cost)
 from .equilibrium import (DeviationWitness, DynamicsStep, DynamicsTrace,
                           EnumerationResult, EquilibriumReport,
                           best_response_dynamics, best_response_exact,
@@ -25,10 +25,10 @@ from .structure import (BiconnectedComponent, CheckRecord, ClosestAssignment,
                         ShoppingVertexSet, ShortestPathTree, TwoDegreePath,
                         audit_equilibrium_structure, biconnected_components,
                         closest_assignment, component_is_cycle,
-                        component_subgraph, girth, is_directed_cycle,
-                        is_min_cycle, lemma_crucial_deviation,
-                        min_cycle_through_edge, shopping_vertices,
-                        shortest_cycle, shortest_path_tree, two_degree_paths)
+                        component_subgraph, girth, is_min_cycle,
+                        lemma_crucial_deviation, min_cycle_through_edge,
+                        shopping_vertices, shortest_cycle, shortest_path_tree,
+                        two_degree_paths)
 from .optimum import (OptimumResult, PoAReport, TreePoaCertificate,
                       clique_profile, optimum_analytic, optimum_bruteforce,
                       price_of_anarchy, star_profile, tree_poa_certificate)

@@ -9,7 +9,8 @@ CSVs regardless of worker count; only manifest timestamps differ.
 builder, CSV columns, help text and the flags it reads. A mode accepts its
 own flags plus ``--out`` and ``--workers``, which change where the output
 goes and how the work runs, never what is computed; any other flag is a
-usage error. An absent flag takes its ``ExperimentConfig`` default.
+usage error. An absent flag takes its ``ExperimentConfig`` default, and
+``run`` refuses a config that sets a field its mode does not read.
 
 Exit codes (``exit_status``, which the scripts share): 0 success (including
 verify reporting "not an equilibrium", and a run whose reader closed stdout
@@ -192,22 +193,31 @@ def _rows_dynamics(config):
     return rows, {"outcome": trace.outcome, "moves": len(trace.steps)}
 
 
-def _profile_row(game, code, price):
-    return {
-        "alpha": _fmt(game.alpha), "n": game.n,
-        "profile_id": code,
-        "edges": price.edges,
-        "is_tree": _fmt(price.is_tree),
-        "social_cost": _fmt(price.social_cost),
-        "max_agent_cost": _fmt(price.max_agent_cost),
-    }
+def _profile_rows(game, coded_prices) -> list:
+    """One row per (code, ProfilePrice) pair. A class's members share one
+    price object, so each object's columns are formatted once. The cache is
+    keyed by identity: hashing a price's Fractions costs more than
+    formatting them."""
+    alpha = _fmt(game.alpha)
+    tails: dict = {}  # id(price) -> (price, columns); holding price keeps its id
+    rows = []
+    for code, price in coded_prices:
+        cached = tails.get(id(price))
+        if cached is None:
+            cached = tails[id(price)] = price, {
+                "edges": price.edges,
+                "is_tree": _fmt(price.is_tree),
+                "social_cost": _fmt(price.social_cost),
+                "max_agent_cost": _fmt(price.max_agent_cost),
+            }
+        rows.append({"alpha": alpha, "n": game.n, "profile_id": code, **cached[1]})
+    return rows
 
 
 def _rows_enumerate(config):
     game = _game_config(config)
     result = enumerate_equilibria(game)
-    rows = [_profile_row(game, code, price)
-            for code, price in zip(result.codes, result.prices)]
+    rows = _profile_rows(game, zip(result.codes, result.prices))
     return rows, _enumeration_summary(result)
 
 
@@ -229,7 +239,7 @@ def _rows_search(config):
     found = search_nontree_equilibria(game, seed=config.seed,
                                       iterations=config.iterations,
                                       workers=config.workers)
-    return [_profile_row(game, code, price) for code, price in found], {"found": len(found)}
+    return _profile_rows(game, found), {"found": len(found)}
 
 
 def _rows_audit(config):
@@ -330,20 +340,22 @@ def run(config: ExperimentConfig) -> RunManifest:
         raise ValueError(f"unknown mode {config.mode!r}")
     if not config.output:
         raise ValueError("an output path is required (--out FILE)")
+    default = ExperimentConfig(config.mode)
+    unread = [flag for flag, name in _FLAG_FIELDS.items() if flag not in mode.flags
+              and getattr(config, name) != getattr(default, name)]
+    if unread:
+        raise ValueError(f"mode {config.mode} does not read {', '.join(unread)}")
     started = time.perf_counter()
     rows, extra = mode.rows(config)
     text = _csv_text(mode.columns, rows)
     _write_text(config.output, text)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    recorded = {name: getattr(config, name)
+                for name in [_FLAG_FIELDS[flag] for flag in mode.flags] + ["workers"]}
+    if recorded.get("alpha") is not None:
+        recorded["alpha"] = str(recorded["alpha"])
     manifest = RunManifest(
-        tool="ncg", version=__version__, mode=config.mode,
-        config={
-            "n": config.n, "alpha": None if config.alpha is None else str(config.alpha),
-            "seed": config.seed, "budget": config.budget,
-            "iterations": config.iterations, "schedule": config.schedule,
-            "agent": config.agent, "input": config.input,
-            "workers": config.workers,
-        },
+        tool="ncg", version=__version__, mode=config.mode, config=recorded,
         csv_schema=mode.columns, rows=len(rows), output=config.output,
         sha256=digest, wall_time_s=round(time.perf_counter() - started, 6),
         created_utc=datetime.now(timezone.utc).isoformat(),
@@ -385,6 +397,8 @@ _FLAGS = {
     "--witnesses": {"dest": "show_witnesses", "action": "store_true",
                     "help": "also print the report as a text block"},
 }
+# The ExperimentConfig field behind each flag.
+_FLAG_FIELDS = {flag: kwargs.get("dest", flag[2:]) for flag, kwargs in _FLAGS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:

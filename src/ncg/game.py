@@ -187,20 +187,6 @@ class OwnedGraph:
 
 
 @dataclass(frozen=True)
-class DistanceTable:
-    """All-pairs hop distances; INF across connected components."""
-
-    rows: tuple[tuple, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def dist(self, u: int, v: int):
-        return self.rows[u][v]
-
-
-@dataclass(frozen=True)
 class Metrics:
     """Eccentricities and derived radius / diameter / center set."""
 
@@ -282,18 +268,19 @@ def build_graph(profile: StrategyProfile) -> OwnedGraph:
                       {e: frozenset(o) for e, o in owners.items()})
 
 
-def all_pairs_distances(graph: OwnedGraph) -> DistanceTable:
-    return DistanceTable(tuple(
-        tuple(distances_from(graph.adj, v, graph.n)) for v in range(graph.n)))
+def all_pairs_distances(graph: OwnedGraph) -> tuple:
+    """Distance rows: ``rows[u][v]`` is the hop distance, INF across
+    connected components."""
+    return tuple(tuple(distances_from(graph.adj, v, graph.n)) for v in range(graph.n))
 
 
-def metrics(table: DistanceTable) -> Metrics:
-    """Eccentricities, radius, diameter, centers.
+def metrics(rows) -> Metrics:
+    """Eccentricities, radius, diameter, centers of the distance rows.
 
     Any INF entry means the graph is disconnected, so every vertex has an
     unreachable partner and all eccentricities are INF.
     """
-    ecc = tuple(max(row) for row in table.rows)
+    ecc = tuple(max(row) for row in rows)
     radius = min(ecc)
     diameter = max(ecc)
     centers = frozenset(v for v, e in enumerate(ecc) if e == radius)

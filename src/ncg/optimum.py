@@ -183,15 +183,15 @@ def tree_poa_certificate(config: GameConfig, profile: StrategyProfile) -> TreePo
             deviation_agent=0, deviation_target=0,
             deviation_old_cost=Fraction(0), deviation_new_cost=Fraction(0),
             deviation_nonimproving=True)
-    table = all_pairs_distances(graph)
-    mets = metrics(table)
+    rows = all_pairs_distances(graph)
+    mets = metrics(rows)
     diameter = mets.diameter
     cost = social_cost(config, profile)
     opt = optimum_analytic(config).cost
     ratio = cost / opt
 
     center = min(mets.centers)
-    dist_from_center = table.rows[center]
+    dist_from_center = rows[center]
     # In a tree the far end of any longest path sits at exactly radius from
     # the center and realizes the diameter, so this set is never empty.
     candidates = [v for v in range(config.n)

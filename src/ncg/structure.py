@@ -34,9 +34,6 @@ class BiconnectedComponent:
     # Derived from edges, so it takes no part in ==, hash or repr.
     degrees: Counter = field(compare=False, repr=False)
 
-    def degree_of(self, v: int) -> int:
-        return self.degrees[v]
-
 
 @dataclass(frozen=True)
 class ShortestPathTree:
@@ -97,12 +94,6 @@ class ShoppingVertexSet:
     root: int
     members: frozenset
     edges_by_member: tuple  # sorted (member, (edges...)) pairs
-
-    def nontree_edges(self, member: int) -> tuple:
-        for m, edges in self.edges_by_member:
-            if m == member:
-                return edges
-        return ()
 
 
 @dataclass(frozen=True)
@@ -268,12 +259,6 @@ def _cycle_owners(graph: OwnedGraph, vertices: tuple) -> tuple:
     return tuple(owners)
 
 
-def is_directed_cycle(profile: StrategyProfile, cycle) -> bool:
-    """True iff some rotation/reflection has every edge bought by its tail."""
-    vertices = tuple(cycle.vertices if isinstance(cycle, MinCycle) else cycle)
-    return _owners_directed(vertices, _cycle_owners(build_graph(profile), vertices))
-
-
 def is_min_cycle(graph: OwnedGraph, cycle) -> bool:
     """True iff every pairwise distance along the cycle equals the graph distance."""
     vertices = tuple(cycle.vertices if isinstance(cycle, MinCycle) else cycle)
@@ -404,25 +389,20 @@ def two_degree_paths(component: BiconnectedComponent) -> list:
     return paths
 
 
-def closest_assignment(graph: OwnedGraph, component: BiconnectedComponent) -> ClosestAssignment:
-    """Partition every vertex to its nearest component vertex.
+def closest_assignment(rows, component: BiconnectedComponent) -> ClosestAssignment:
+    """Partition every vertex to its nearest component vertex; ``rows`` are
+    the graph's distance rows (``all_pairs_distances``).
 
     Uniqueness is guaranteed when the component really is biconnected and
     the graph connected (everything outside attaches through exactly one
     component vertex); a tie therefore raises AssignmentAmbiguous.
     """
-    if not graph.is_connected():
-        raise Disconnected("closest assignment needs a connected graph")
-    rows = {h: distances_from(graph.adj, h, graph.n) for h in component.vertices}
-    return _closest_assignment(rows, component, graph.n)
-
-
-def _closest_assignment(rows, component: BiconnectedComponent, n: int) -> ClosestAssignment:
-    """closest_assignment from distance rows of a connected graph; ``rows[h]``
-    must hold the distances from every component vertex h."""
     hs = sorted(component.vertices)
+    # A disconnected graph leaves INF in every row.
+    if INF in rows[hs[0]]:
+        raise Disconnected("closest assignment needs a connected graph")
     assignment = []
-    for w in range(n):
+    for w in range(len(rows)):
         best_h, best_d = None, None
         tie = False
         for h in hs:
@@ -439,14 +419,12 @@ def _closest_assignment(rows, component: BiconnectedComponent, n: int) -> Closes
                              component_vertices=frozenset(component.vertices))
 
 
-def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree):
-    """Edges of the component that are also tree edges, plus the partition of
-    component vertices into connected pieces of that restriction."""
-    t_edges = spt.edges()
-    th_edges = frozenset(e for e in component.edges if e in t_edges)
+def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree) -> dict:
+    """Partition of the component's vertices into the connected pieces of its
+    restriction to the tree: ``piece[v]`` is the smallest vertex of v's piece."""
     n = len(spt.parent)
     adj = [0] * n
-    for u, v in th_edges:
+    for u, v in component.edges & spt.edges():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     piece: dict[int, int] = {}
@@ -457,30 +435,22 @@ def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree):
         bfs(adj, 1 << v, (1 << n) - 1, layers)
         reached = sum(layers)  # the layers are disjoint masks
         piece.update((w, v) for w in component.vertices if reached >> w & 1)
-    return th_edges, piece
+    return piece
 
 
 def shopping_vertices(profile: StrategyProfile, component: BiconnectedComponent,
-                      spt_root: int) -> ShoppingVertexSet:
-    """Component vertices that buy component edges missing from the tree
-    restriction, with those edges listed per vertex."""
-    spt = shortest_path_tree(build_graph(profile), spt_root)
-    th_edges, _ = _tree_restriction(component, spt)
-    return _shopping_set(profile, component, th_edges, spt_root)
-
-
-def _shopping_set(profile: StrategyProfile, component: BiconnectedComponent,
-                  th_edges: frozenset, spt_root: int) -> ShoppingVertexSet:
-    nontree = sorted(component.edges - th_edges)
+                      spt: ShortestPathTree) -> ShoppingVertexSet:
+    """Component vertices that buy component edges missing from the shortest
+    path tree, with those edges listed per vertex."""
     by_member: dict[int, list] = {}
-    for u, v in nontree:
+    for u, v in sorted(component.edges - spt.edges()):
         if v in profile.buys[u]:
             by_member.setdefault(u, []).append((u, v))
         if u in profile.buys[v]:
             by_member.setdefault(v, []).append((u, v))
     edges_by_member = tuple(sorted(
         (m, tuple(sorted(es))) for m, es in by_member.items()))
-    return ShoppingVertexSet(root=spt_root,
+    return ShoppingVertexSet(root=spt.root,
                              members=frozenset(by_member),
                              edges_by_member=edges_by_member)
 
@@ -520,8 +490,8 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     """
     alpha = config.alpha
     graph = build_graph(profile)
-    table = all_pairs_distances(graph)
-    mets = metrics(table)
+    rows = all_pairs_distances(graph)
+    mets = metrics(rows)
     connected = mets.is_connected()
     comps = biconnected_components(graph)
     # A block's cycles and inner shortest paths never leave it, so the
@@ -608,11 +578,11 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     def run_attachment():
         bad = []
         for comp in comps:
-            ca = _closest_assignment(table.rows, comp, graph.n)
+            ca = closest_assignment(rows, comp)
             for v in sorted(comp.vertices):
                 bound = mets.ecc[v] + 2 - alpha
                 for w in sorted(ca.s_of(v)):
-                    d = table.rows[v][w]
+                    d = rows[v][w]
                     if d > bound:
                         bad.append(Witness(
                             "distant_attachment", (v, w, d),
@@ -659,7 +629,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
         for comp in comps:
             deg = comp.degrees
             for v in sorted(comp.vertices):
-                dist = table.rows[v]
+                dist = rows[v]
                 n1 = [u for u in comp.vertices if dist[u] <= 1]
                 ring2 = [u for u in comp.vertices if dist[u] == 2]
                 cond_a = any(deg[u] >= 3 for u in n1)
@@ -687,12 +657,9 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     # --- shopping vertices ------------------------------------------------
     # Read only by the two runners below, whose gates imply this condition.
     if alpha > 1 and comps and connected:
-        root = min(mets.centers)
-        spt = shortest_path_tree(graph, root)
-        shopping_ctx = []
-        for comp in comps:
-            th_edges, piece = _tree_restriction(comp, spt)
-            shopping_ctx.append((piece, _shopping_set(profile, comp, th_edges, root)))
+        spt = shortest_path_tree(graph, min(mets.centers))
+        shopping_ctx = [(_tree_restriction(comp, spt),
+                         shopping_vertices(profile, comp, spt)) for comp in comps]
 
     def run_single_nontree():
         bad = []

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import ncg
 import ncg.equilibrium as equilibrium
 from conftest import alphas, strategy_profiles
-from ncg.cli import MODE_TABLE, MODES, ExperimentConfig, build_parser, main, run
+import ncg.cli
+from ncg.cli import (MODE_TABLE, MODES, ExperimentConfig, build_parser,
+                     exit_status, main, run)
 from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
 from ncg.profiles import parse_profile, serialize_profile
 
@@ -192,14 +194,20 @@ class TestModeFlags:
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def _bench_module(monkeypatch, name):
+    """Import bench/<name>.py without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_job_argvs_parse(monkeypatch):
     # The benchmark's job lists are frozen: a change to the CLI's flags must
     # keep every one of them a valid command line.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module(monkeypatch, "workloads")
     parser = build_parser()
     for name in workloads.WORKLOADS:
         for seed in (1, 2, 3):
@@ -208,6 +216,16 @@ def test_benchmark_job_argvs_parse(monkeypatch):
                     parser.parse_args(job["argv"])
                 except SystemExit:
                     pytest.fail(f"{name} seed {seed}: {job['argv']} does not parse")
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # A traced run wraps every TRACED name by attribute lookup, so renaming or
+    # deleting one of these functions would fail every traced benchmark run.
+    tracing = _bench_module(monkeypatch, "tracing")
+    assert tracing.TRACED
+    for name in tracing.TRACED:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"ncg.{module}"), function, None)), name
 
 
 class TestRowsAndManifests:
@@ -423,6 +441,58 @@ def test_run_api_round_trip(tmp_path):
     manifest = run(cfg)
     assert manifest.rows == 12
     assert manifest.csv_schema[0] == "alpha"
+
+
+@pytest.mark.parametrize("mode, fields", [
+    ("verify", {"input": "p.ncg", "n": 5, "alpha": Fraction(25)}),
+    ("audit", {"input": "p.ncg", "agent": 1}),
+    ("enumerate", {"n": 3, "alpha": Fraction(2), "seed": 4}),
+    ("optimum", {"n": 3, "alpha": Fraction(2), "input": "p.ncg"}),
+    ("audit", {"input": "p.ncg", "schedule": "uniform-random"})])
+def test_run_rejects_fields_the_mode_does_not_read(tmp_path, capsys, mode, fields):
+    # A verify run given n = 5 and alpha = 25 once wrote a row at the
+    # profile's n and alpha while its manifest recorded 5 and 25.
+    write(tmp_path, "p.ncg", STAR3)
+    if "input" in fields:
+        fields = {**fields, "input": str(tmp_path / "p.ncg")}
+    out = tmp_path / "api.csv"
+    cfg = ExperimentConfig(mode=mode, output=str(out), workers=2, **fields)
+    with pytest.raises(ValueError, match="does not read"):
+        run(cfg)
+    assert exit_status(lambda: run(cfg)) == 3
+    assert capsys.readouterr().err.startswith("invalid configuration: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "p.ncg"]
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["enumerate", "--n", "3", "--alpha", "25"], {"n": 3, "alpha": "25", "workers": 1}),
+    (["verify", "--in", "p.ncg", "--workers", "2"], {"input": "p.ncg", "workers": 2}),
+    (["audit", "--in", "p.ncg", "--witnesses"],
+     {"input": "p.ncg", "show_witnesses": True, "workers": 1}),
+    (["dynamics", "--n", "3", "--alpha", "2", "--seed", "7"],
+     {"n": 3, "alpha": "2", "input": None, "seed": 7, "schedule": "round-robin",
+      "budget": 10_000, "workers": 1})])
+def test_manifest_records_the_mode_fields(tmp_path, argv, recorded):
+    write(tmp_path, "p.ncg", STAR3)
+    at = lambda a: str(tmp_path / a) if a.endswith(".ncg") else a  # noqa: E731
+    out = tmp_path / "x.csv"
+    assert main([at(a) for a in argv] + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert manifest["config"] == {k: at(v) if isinstance(v, str) else v
+                                  for k, v in recorded.items()}
+
+
+def test_profile_row_prices_formatted_once_per_class(tmp_path, monkeypatch):
+    # Members of one class share a ProfilePrice, so the rows format alpha
+    # once and a price's three formatted columns once per class.
+    classes = len(equilibrium.enumerate_equilibria(GameConfig(5, Fraction(2))).canonical_forms)
+    calls = []
+    fmt = ncg.cli._fmt
+    monkeypatch.setattr(ncg.cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+    out = tmp_path / "x.csv"
+    assert main(["enumerate", "--n", "5", "--alpha", "2", "--out", str(out)]) == 0
+    assert len(read_csv(out)) > classes
+    assert len(calls) == 1 + 3 * classes + 2  # the manifest's worst and best cost
 
 
 def test_serialized_profiles_from_rows_verify(tmp_path):

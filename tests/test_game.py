@@ -122,11 +122,11 @@ class TestBuildGraph:
 class TestDistances:
     def test_path_distance(self):
         g = build_graph(StrategyProfile.from_sets([{1}, {2}, set()]))
-        assert all_pairs_distances(g).dist(0, 2) == 2
+        assert all_pairs_distances(g)[0][2] == 2
 
     def test_disconnected_infinite(self):
         g = build_graph(StrategyProfile.from_sets([set(), set()]))
-        assert all_pairs_distances(g).dist(0, 1) == INF
+        assert all_pairs_distances(g)[0][1] == INF
 
     def test_clique_distances(self):
         g = build_graph(StrategyProfile.from_sets(
@@ -134,19 +134,19 @@ class TestDistances:
         t = all_pairs_distances(g)
         for u in range(4):
             for v in range(4):
-                assert t.dist(u, v) == (0 if u == v else 1)
+                assert t[u][v] == (0 if u == v else 1)
 
     @given(strategy_profiles())
     def test_symmetry_zero_diagonal_triangle(self, profile):
         t = all_pairs_distances(build_graph(profile))
         n = profile.n
         for u in range(n):
-            assert t.dist(u, u) == 0
+            assert t[u][u] == 0
             for v in range(n):
-                assert t.dist(u, v) == t.dist(v, u)
+                assert t[u][v] == t[v][u]
                 for w in range(n):
-                    if t.dist(u, w) != INF and t.dist(w, v) != INF:
-                        assert t.dist(u, v) <= t.dist(u, w) + t.dist(w, v)
+                    if t[u][w] != INF and t[w][v] != INF:
+                        assert t[u][v] <= t[u][w] + t[w][v]
 
     @given(strategy_profiles())
     def test_against_oracle_bfs(self, profile):
@@ -155,7 +155,7 @@ class TestDistances:
         for u in range(profile.n):
             dist = oracles.bfs_distances(adj, u)
             for v in range(profile.n):
-                assert t.dist(u, v) == dist.get(v, INF)
+                assert t[u][v] == dist.get(v, INF)
 
 
 class TestMetrics:

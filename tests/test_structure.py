@@ -16,8 +16,8 @@ from ncg.game import GameConfig, StrategyProfile, all_pairs_distances, build_gra
 from ncg.equilibrium import is_nash
 from ncg.structure import (audit_equilibrium_structure, biconnected_components,
                            closest_assignment, component_is_cycle,
-                           component_subgraph, girth, is_directed_cycle,
-                           is_min_cycle, lemma_crucial_deviation,
+                           component_subgraph, girth, is_min_cycle,
+                           lemma_crucial_deviation,
                            min_cycle_through_edge, shopping_vertices,
                            shortest_cycle, shortest_path_tree, two_degree_paths)
 
@@ -215,11 +215,11 @@ class TestMinCycleTable:
     @given(owned_graphs())
     @example(_BLOCKS)
     def test_block_subgraph_keeps_distances(self, g):
-        table = all_pairs_distances(g)
+        rows = all_pairs_distances(g)
         for comp in biconnected_components(g):
-            sub_table = all_pairs_distances(component_subgraph(g, comp))
+            sub_rows = all_pairs_distances(component_subgraph(g, comp))
             for u, v in combinations(sorted(comp.vertices), 2):
-                assert sub_table.dist(u, v) == table.dist(u, v)
+                assert sub_rows[u][v] == rows[u][v]
 
     @given(owned_graphs())
     @example(_BLOCKS)
@@ -231,20 +231,29 @@ class TestMinCycleTable:
         assert shortest_cycle(g) == (shortest[0] if shortest else None)
 
 
+def _directed_flags(profile):
+    """``MinCycle.directed`` of the min cycle through each edge of a profile
+    whose graph is one cycle, so every edge's min cycle is that cycle."""
+    g = build_graph(profile)
+    cycles = [min_cycle_through_edge(g, e) for e in sorted(g.edges)]
+    assert all(mc.length == profile.n for mc in cycles)
+    return {mc.directed for mc in cycles}
+
+
 class TestDirectedCycles:
     def test_directed_triangle(self):
-        assert is_directed_cycle(directed_cycle_profile(3), (0, 1, 2))
+        assert _directed_flags(directed_cycle_profile(3)) == {True}
 
     def test_vertex_buying_both_incident_edges(self):
         profile = StrategyProfile.from_sets([{1, 2}, {2}, set()])
-        assert not is_directed_cycle(profile, (0, 1, 2))
+        assert _directed_flags(profile) == {False}
 
     def test_directed_c4(self):
-        assert is_directed_cycle(directed_cycle_profile(4), (0, 1, 2, 3))
+        assert _directed_flags(directed_cycle_profile(4)) == {True}
 
     def test_reversed_orientation_counts(self):
         profile = StrategyProfile.from_sets([{2}, {0}, {1}])
-        assert is_directed_cycle(profile, (0, 1, 2))
+        assert _directed_flags(profile) == {True}
 
 
 class TestGirth:
@@ -299,9 +308,9 @@ class TestTwoDegreePaths:
                     continue
                 for p in two_degree_paths(comp):
                     assert p.k >= 1
-                    assert all(comp.degree_of(x) == 2 for x in p.interior)
-                    assert comp.degree_of(p.start) != 2
-                    assert comp.degree_of(p.end) != 2
+                    assert all(comp.degrees[x] == 2 for x in p.interior)
+                    assert comp.degrees[p.start] != 2
+                    assert comp.degrees[p.end] != 2
 
 
 class TestClosestAssignment:
@@ -309,13 +318,13 @@ class TestClosestAssignment:
         # C4 on 0..3 with a path 0-4-5 hanging off vertex 0
         g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)])
         comp = biconnected_components(g)[0]
-        ca = closest_assignment(g, comp)
+        ca = closest_assignment(all_pairs_distances(g), comp)
         assert ca.s_of(0) == frozenset({0, 4, 5})
 
     def test_component_vertices_map_to_themselves(self):
         g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)])
         comp = biconnected_components(g)[0]
-        ca = closest_assignment(g, comp)
+        ca = closest_assignment(all_pairs_distances(g), comp)
         for v in comp.vertices:
             assert ca.assignment[v] == v
             assert ca.s_of(v) & comp.vertices == {v}
@@ -323,7 +332,7 @@ class TestClosestAssignment:
     def test_graph_equal_to_component(self):
         g = build_graph(directed_cycle_profile(5))
         comp = biconnected_components(g)[0]
-        ca = closest_assignment(g, comp)
+        ca = closest_assignment(all_pairs_distances(g), comp)
         assert all(ca.s_of(v) == {v} for v in range(5))
 
     def test_partition_properties_random(self):
@@ -333,7 +342,7 @@ class TestClosestAssignment:
             n = rng.randint(4, 7)
             g = graph_from_edges(n, random_connected_graph_edges(rng, n))
             for comp in biconnected_components(g):
-                ca = closest_assignment(g, comp)
+                ca = closest_assignment(all_pairs_distances(g), comp)
                 union = set()
                 for v in comp.vertices:
                     s = ca.s_of(v)
@@ -347,18 +356,18 @@ class TestClosestAssignment:
         g = build_graph(StrategyProfile.from_sets([{1}, {2}, {0}, set()]))
         comp = biconnected_components(g)[0]
         with pytest.raises(Disconnected):
-            closest_assignment(g, comp)
+            closest_assignment(all_pairs_distances(g), comp)
 
 
 class TestShoppingVertices:
     def test_directed_c4_single_shopping_vertex(self):
         profile = directed_cycle_profile(4)
         comp = biconnected_components(build_graph(profile))[0]
-        sv = shopping_vertices(profile, comp, 0)
+        sv = shopping_vertices(profile, comp, shortest_path_tree(build_graph(profile), 0))
         # With root 0 the tree keeps (0,1), (0,3), (1,2); vertex 2 bought the
         # leftover edge (2,3).
         assert sv.members == frozenset({2})
-        assert sv.nontree_edges(2) == ((2, 3),)
+        assert dict(sv.edges_by_member)[2] == ((2, 3),)
 
     def test_every_member_recomputable(self):
         rng = random.Random(28)
@@ -373,7 +382,7 @@ class TestShoppingVertices:
             root = rng.randrange(n)
             spt = shortest_path_tree(graph, root)
             for comp in comps:
-                sv = shopping_vertices(profile, comp, root)
+                sv = shopping_vertices(profile, comp, spt)
                 t_edges = spt.edges()
                 expected = set()
                 for u, v in comp.edges - t_edges:
@@ -387,7 +396,7 @@ class TestShoppingVertices:
         # 4-cycle whose non-tree edge (2,3) is paid from both sides
         profile = StrategyProfile.from_sets([{1}, {2}, {3}, {0, 2}])
         comp = biconnected_components(build_graph(profile))[0]
-        sv = shopping_vertices(profile, comp, 0)
+        sv = shopping_vertices(profile, comp, shortest_path_tree(build_graph(profile), 0))
         assert sv.members == frozenset({2, 3})
 
 
@@ -462,7 +471,8 @@ class TestAudit:
         calls = Counter()
         for name in ("build_graph", "all_pairs_distances", "shortest_path_tree",
                      "min_cycle_through_edge", "is_min_cycle", "component_subgraph",
-                     "shopping_vertices", "shortest_cycle", "distances_from"):
+                     "shopping_vertices", "shortest_cycle", "distances_from",
+                     "closest_assignment"):
             def counted(*args, _fn=getattr(ncg.structure, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -473,7 +483,8 @@ class TestAudit:
         assert report.record("shopping_lca_gap").applicable
         assert calls == {"build_graph": 1, "all_pairs_distances": 1,
                          "shortest_path_tree": 1,
-                         "min_cycle_through_edge": len(_BLOCKS.edges)}
+                         "min_cycle_through_edge": len(_BLOCKS.edges),
+                         "closest_assignment": 3, "shopping_vertices": 3}
 
     def test_witnesses_reverify(self):
         cfg = GameConfig(4, Fraction(5))
