@@ -2,8 +2,10 @@
 
 Verification is exhaustive: an agent's best response is found by scanning
 all 2^(n-1) purchase sets, so results are exact but only feasible at desk
-scale (guarded). Cost comparisons are done in integer arithmetic derived
-from the exact rational alpha, never floats.
+scale (guarded). Each candidate's BFS stops as soon as the candidate can
+no longer beat the best cost so far, so losing sets cost a few layers,
+not a full search. Cost comparisons are done in integer arithmetic
+derived from the exact rational alpha, never floats.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ def _base_adj(adj, buys_masks, v: int) -> list:
     return base
 
 
-def _ecc_deviation(base_adj, v: int, smask: int, n: int):
-    """Eccentricity of v when v's purchase set is the bitmask smask.
+def _ecc_deviation(base_adj, v: int, smask: int, n: int, limit=INF):
+    """Eccentricity of v when v's purchase set is the bitmask smask; INF in
+    place of a value above ``limit`` when the limit is at least 1.
 
     Every added link ends at v, which is the BFS source, so the search can
     start from v plus its first ring on the unmodified base adjacency.
@@ -130,7 +133,12 @@ def _ecc_deviation(base_adj, v: int, smask: int, n: int):
     first = base_adj[v] | smask
     if not first:
         return 0 if n == 1 else INF
-    return 1 + bfs(base_adj, first | 1 << v, (1 << n) - 1)
+    return 1 + bfs(base_adj, first | 1 << v, (1 << n) - 1, None, limit - 1)
+
+
+def _usage_limit(p: int, q: int, k: int, bound):
+    """Largest usage e with p*k + q*e < ``bound``; INF while the bound is."""
+    return INF if bound == INF else (bound - p * k - 1) // q
 
 
 def _adj_of(buys_masks) -> list:
@@ -153,25 +161,32 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
     None if there is none. The scan order is (size, lex) ascending with
     strict replacement, so the minimum is also the fewest-purchases-then-
     lex tie-break winner. Sizes whose creation cost alone rules out a win
-    are pruned (usage >= 1 for any reachable vertex set). The only
-    exhaustive scan, so the only place that enforces BEST_RESPONSE_MAX_N.
+    are pruned (usage >= 1 for n >= 2), and each candidate's BFS stops as
+    soon as its usage can no longer beat the bound, which tightens with
+    every win; a cut BFS returns INF, which never wins, so every returned
+    triple is exact. The only exhaustive scan, so the only place that
+    enforces BEST_RESPONSE_MAX_N.
     """
     if n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
-    others = [u for u in range(n) if u != v]
+    if n == 1:
+        return (0, 0, 0) if bound > 0 else None  # the empty set, at cost 0
+    bits = [1 << u for u in range(n) if u != v]
+    ring = base_adj[v] | 1 << v
+    full = (1 << n) - 1
     best = None
-    for k in range(len(others) + 1):
-        if k > 0 and p * k + q >= bound:
+    for k in range(n):
+        if p * k + q >= bound:
             break
-        for combo in combinations(others, k):
-            smask = 0
-            for u in combo:
-                smask |= 1 << u
-            e = _ecc_deviation(base_adj, v, smask, n)
+        # The BFS from v's first ring is one hop short of v's usage.
+        limit = _usage_limit(p, q, k, bound) - 1
+        for smask in map(sum, combinations(bits, k)):
+            e = 1 + bfs(base_adj, ring | smask, full, None, limit)
             scaled = p * k + q * e  # INF when e is
             if scaled < bound:
                 best = smask, k, e
                 bound = scaled
+                limit = _usage_limit(p, q, k, bound) - 1
     return best
 
 
@@ -187,26 +202,29 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
     """
     full = (1 << n) - 1
     cur_mask = buys_masks[v]
-    cur_k = bin(cur_mask).count("1")
+    cur_k = cur_mask.bit_count()
     # INF when v is cut off, and then every move that reconnects it wins.
     cur_scaled = p * cur_k + q * bfs(adj, 1 << v, full)
     base = _base_adj(adj, buys_masks, v)
     # Buying a link to an already-adjacent vertex only wastes alpha.
     missing = full & ~(1 << v) & ~adj[v]
+    limit = _usage_limit(p, q, cur_k - 1, cur_scaled)
     drops = cur_mask
     while drops:
         low = drops & -drops
         drops ^= low
-        e = _ecc_deviation(base, v, cur_mask ^ low, n)
+        e = _ecc_deviation(base, v, cur_mask ^ low, n, limit)
         if p * (cur_k - 1) + q * e < cur_scaled:
             return cur_mask ^ low, cur_k - 1, e
+    limit = _usage_limit(p, q, cur_k + 1, cur_scaled)
     adds = missing
     while adds:
         low = adds & -adds
         adds ^= low
-        e = _ecc_deviation(base, v, cur_mask | low, n)
+        e = _ecc_deviation(base, v, cur_mask | low, n, limit)
         if p * (cur_k + 1) + q * e < cur_scaled:
             return cur_mask | low, cur_k + 1, e
+    limit = _usage_limit(p, q, cur_k, cur_scaled)
     drops = cur_mask
     while drops:
         drop = drops & -drops
@@ -215,7 +233,7 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
         while adds:
             low = adds & -adds
             adds ^= low
-            e = _ecc_deviation(base, v, cur_mask ^ drop | low, n)
+            e = _ecc_deviation(base, v, cur_mask ^ drop | low, n, limit)
             if p * cur_k + q * e < cur_scaled:
                 return cur_mask ^ drop | low, cur_k, e
     return _scan_best_response(p, q, base, v, n, cur_scaled) if exact else None
@@ -224,7 +242,7 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
 def _best_deviation(p: int, q: int, n: int, adj, buys_masks, v: int):
     """v's cheapest strictly improving set as (mask, k, e), or None at best
     response; the scan order makes it best_response_exact's strategy."""
-    cur_scaled = p * bin(buys_masks[v]).count("1") + q * bfs(adj, 1 << v, (1 << n) - 1)
+    cur_scaled = p * buys_masks[v].bit_count() + q * bfs(adj, 1 << v, (1 << n) - 1)
     return _scan_best_response(p, q, _base_adj(adj, buys_masks, v), v, n, cur_scaled)
 
 
@@ -330,7 +348,7 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
         move = _best_deviation(p, q, n, adj, buys_masks, agent)
         if move is not None:
             mask, k, e = move
-            cur = alpha * bin(buys_masks[agent]).count("1") + eccentricity(adj, agent, n)
+            cur = alpha * buys_masks[agent].bit_count() + eccentricity(adj, agent, n)
             buys_masks[agent] = mask
             adj = _adj_of(buys_masks)
             steps.append(DynamicsStep(len(steps), agent, cur, alpha * k + e,
@@ -543,7 +561,7 @@ def _search_iteration(args):
                 break
         else:
             break
-    edges = sum(bin(m).count("1") for m in adj) // 2
+    edges = sum(m.bit_count() for m in adj) // 2
     if edges == n - 1 or not _profile_is_nash_masks(p, q, n, adj, buys_masks):
         return None  # a tree, disconnected, or not an equilibrium
     return _encode(buys_masks), _price(alpha, n, adj, buys_masks)

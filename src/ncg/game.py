@@ -164,7 +164,7 @@ class OwnedGraph:
         return (self.adj[u] >> v) & 1 == 1
 
     def degree(self, u: int) -> int:
-        return bin(self.adj[u]).count("1")
+        return self.adj[u].bit_count()
 
     def neighbors(self, u: int):
         m = self.adj[u]
@@ -208,21 +208,28 @@ class CostBreakdown:
     total: Fraction | float
 
 
-def bfs(adj, sources: int, target: int, layers: list | None = None):
+def bfs(adj, sources: int, target: int, layers: list | None = None, limit=INF):
     """Hops until every vertex of ``target`` is seen from the ``sources`` mask.
 
     The one frontier-expansion loop of the package: eccentricity,
     distances, connectivity and smallest-parent trees are views of it.
-    Returns INF if some target vertex is unreachable. A ``layers`` list
-    receives the frontier masks (``layers[d]`` = vertices at distance d);
-    without one nothing is allocated, which matters to best-response
-    scans that call this once per candidate purchase set.
+    Returns INF if some target vertex is unreachable, and also, after one
+    compare per layer, as soon as ``limit`` hops leave part of ``target``
+    unseen: for a limit >= 0 the result is exact when at most ``limit``
+    and INF otherwise. Best-response scans pass the depth a candidate
+    must stay within to beat the best cost so far, so a losing candidate
+    stops early. A ``layers`` list receives the frontier masks
+    (``layers[d]`` = vertices at distance d); without one nothing is
+    allocated, which matters to scans that call this once per candidate
+    purchase set.
     """
     seen = frontier = sources
     if layers is not None:
         layers.append(frontier)
     d = 0
     while target & ~seen:
+        if d >= limit:
+            return INF
         nxt = 0
         m = frontier
         while m:

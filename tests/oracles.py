@@ -69,16 +69,22 @@ def powerset(items):
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
 
-def best_cost(n, alpha, buys, v):
+def best_response(n, alpha, buys, v):
+    """(strategy, cost) of v's first minimum-cost purchase set in powerset
+    order, which lists sets by size and then lexicographically."""
     others = [u for u in range(n) if u != v]
     best = None
     for subset in powerset(others):
         trial = list(buys)
         trial[v] = set(subset)
         cost = agent_cost(n, alpha, trial, v)
-        if best is None or cost < best:
-            best = cost
+        if best is None or cost < best[1]:
+            best = subset, cost
     return best
+
+
+def best_cost(n, alpha, buys, v):
+    return best_response(n, alpha, buys, v)[1]
 
 
 def is_nash(n, alpha, buys):

@@ -17,11 +17,18 @@ from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
                              ProfilePrice, _adj_of, _buys_masks, _class_orbits,
                              _derive_seed, _improving_move, _mask_to_tuple,
                              _nash_orientations, _parallel_map,
-                             _profile_is_nash_masks,
+                             _profile_is_nash_masks, _scan_best_response,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
                              search_nontree_equilibria, verify_witness)
+
+
+# Agent 0 owns the first link of an 8-path; every link is bought by its
+# lower end.
+_PATH_8 = StrategyProfile.from_sets([{i + 1} for i in range(7)] + [set()])
+# Agent 0 owns no link and no one links to it, so its current cost is INF.
+_CUT_OFF_7 = StrategyProfile.from_sets([set(), {2}, {3}, {4}, {5}, {6}, {1}])
 
 
 class TestBestResponse:
@@ -41,6 +48,15 @@ class TestBestResponse:
         cfg = GameConfig(3, Fraction(5))
         profile = directed_cycle_profile(3)
         assert best_response_exact(cfg, profile, 0) == ((), 2)
+
+    def test_single_agent(self):
+        # The empty set is v's only strategy: cost 0, so it beats any
+        # positive bound and nothing beats bound 0.
+        assert _scan_best_response(1, 1, [0], 0, 1, 0) is None
+        assert _scan_best_response(1, 1, [0], 0, 1, INF) == (0, 0, 0)
+        cfg = GameConfig(1, Fraction(5))
+        assert is_nash(cfg, StrategyProfile.empty(1)).is_nash
+        assert best_response_exact(cfg, StrategyProfile.empty(1), 0) == ((), 0)
 
     def test_size_guard(self):
         cfg = GameConfig(21, Fraction(5))
@@ -83,6 +99,25 @@ class TestBestResponse:
                     ties.append(tuple(sorted(subset)))
             best_tie = min(ties, key=lambda s: (len(s), s))
             assert strategy == best_tie
+
+    @given(strategy_profiles(min_n=6, max_n=8), alphas)
+    @example(_PATH_8, Fraction(1, 4))
+    @example(_PATH_8, Fraction(19, 2))
+    @example(directed_cycle_profile(8), Fraction(1, 4))
+    @example(directed_cycle_profile(8), Fraction(19, 2))
+    @example(directed_cycle_profile(9), Fraction(1, 4))
+    @example(directed_cycle_profile(9), Fraction(19, 2))
+    @example(_CUT_OFF_7, Fraction(2))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle_strategy_deep(self, profile, alpha):
+        """At n = 6..9 BFS runs have enough layers for the cost bound to
+        cut them; strategy and cost still equal the oracle's (size, lex)
+        first minimum."""
+        cfg = GameConfig(profile.n, alpha)
+        for v in range(profile.n):
+            strategy, cost = best_response_exact(cfg, profile, v)
+            assert (strategy, cost) == oracles.best_response(
+                profile.n, alpha, profile.buys, v)
 
 
 class TestIsNash:
@@ -181,31 +216,48 @@ class TestImprovingMoveDecider:
     @example(StrategyProfile.from_sets([{1}, {0, 2}, set()]), Fraction(1))  # 0-1 bought twice
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, profile, alpha):
-        n, buys = profile.n, profile.buys
-        buys_masks = _buys_masks(profile)
-        adj = build_graph(profile).adj
-        p, q = alpha.numerator, alpha.denominator
+        _check_improving_move(profile, alpha)
 
-        def cost_with(v, strategy):
-            trial = list(buys)
-            trial[v] = strategy
-            return oracles.agent_cost(n, alpha, trial, v)
+    @given(strategy_profiles(min_n=6, max_n=8), alphas)
+    @example(_PATH_8, Fraction(1))  # the first improving add, {1, 3}, sits on its bound
+    @example(directed_cycle_profile(8), Fraction(1, 4))
+    @example(directed_cycle_profile(9), Fraction(19, 2))
+    @example(_CUT_OFF_7, Fraction(2))
+    @example(_CUT_OFF_7, Fraction(19, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle_deep(self, profile, alpha):
+        """n = 6..9, where each single-move group's bound cuts BFS runs."""
+        _check_improving_move(profile, alpha)
 
-        for v in range(n):
-            current = oracles.agent_cost(n, alpha, buys, v)
-            first = next((s for s in _single_link_moves(n, buys, v)
-                          if cost_with(v, s) < current), None)
-            single = _improving_move(p, q, n, adj, buys_masks, v, False)
-            exact = _improving_move(p, q, n, adj, buys_masks, v, True)
-            assert (exact is None) == (oracles.best_cost(n, alpha, buys, v) >= current)
-            assert (None if single is None else set(_mask_to_tuple(single[0]))) == first
-            if first is not None:
-                assert exact == single  # the exact decider tries single links first
-            for move in (single, exact):
-                if move is not None:
-                    mask, k, e = move
-                    assert k == bin(mask).count("1")
-                    assert alpha * k + e == cost_with(v, _mask_to_tuple(mask)) < current
+
+def _check_improving_move(profile, alpha):
+    """The first improving single-link move and the exact decision of
+    _improving_move, for every agent, priced by the oracle."""
+    n, buys = profile.n, profile.buys
+    buys_masks = _buys_masks(profile)
+    adj = build_graph(profile).adj
+    p, q = alpha.numerator, alpha.denominator
+
+    def cost_with(v, strategy):
+        trial = list(buys)
+        trial[v] = strategy
+        return oracles.agent_cost(n, alpha, trial, v)
+
+    for v in range(n):
+        current = oracles.agent_cost(n, alpha, buys, v)
+        first = next((s for s in _single_link_moves(n, buys, v)
+                      if cost_with(v, s) < current), None)
+        single = _improving_move(p, q, n, adj, buys_masks, v, False)
+        exact = _improving_move(p, q, n, adj, buys_masks, v, True)
+        assert (exact is None) == (oracles.best_cost(n, alpha, buys, v) >= current)
+        assert (None if single is None else set(_mask_to_tuple(single[0]))) == first
+        if first is not None:
+            assert exact == single  # the exact decider tries single links first
+        for move in (single, exact):
+            if move is not None:
+                mask, k, e = move
+                assert k == mask.bit_count()
+                assert alpha * k + e == cost_with(v, _mask_to_tuple(mask)) < current
 
 
 class TestDynamics:

@@ -2,6 +2,7 @@
 against the deque BFS in ``oracles``."""
 
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import strategy_profiles
@@ -20,6 +21,26 @@ def _mask(vertices) -> int:
 def _path_adj(n):
     return build_graph(StrategyProfile.from_sets(
         [{i + 1} if i + 1 < n else set() for i in range(n)])).adj
+
+
+@st.composite
+def _graph_queries(draw):
+    """(n, edges, sources, target) on at most 9 vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    full = (1 << n) - 1
+    return n, edges, draw(st.integers(0, full)), draw(st.integers(0, full))
+
+
+def _oracle_distances(n, edges, sources) -> dict:
+    """Hops from the nearest source to every reachable vertex, by a deque
+    BFS from a virtual vertex n linked to all sources."""
+    adj = oracles.adjacency(n + 1, [[w for u, w in edges if u == x] for x in range(n)]
+                            + [[u for u in range(n) if sources >> u & 1]])
+    dist = oracles.bfs_distances(adj, n)
+    del dist[n]
+    return {w: d - 1 for w, d in dist.items()}
 
 
 class TestBfs:
@@ -46,6 +67,33 @@ class TestBfs:
 
     def test_multi_source(self):
         assert bfs(_path_adj(7), 1 | 1 << 6, (1 << 7) - 1) == 3
+
+    def test_limit_cuts_before_the_target_is_seen(self):
+        adj = _path_adj(5)
+        assert bfs(adj, 1, 0b11111, None, 4) == 4
+        assert bfs(adj, 1, 0b11111, None, 3) == INF
+        assert bfs(adj, 1, 1, None, 0) == 0
+
+    @given(_graph_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_limit_and_layers_match_oracle(self, query):
+        """The hops to the target match a multi-source deque BFS; every
+        limit from 0 to n keeps a result within it and turns a larger one
+        into INF; the layers at the default limit are the distance classes."""
+        n, edges, sources, target = query
+        adj = [0] * n
+        for u, w in edges:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        dist = _oracle_distances(n, edges, sources)
+        expected = max((dist.get(w, INF) for w in range(n) if target >> w & 1), default=0)
+        layers = []
+        assert bfs(adj, sources, target, layers) == expected
+        depth = expected if expected != INF else max(dist.values(), default=0)
+        assert layers == [_mask(w for w in dist if dist[w] == d) for d in range(depth + 1)]
+        for limit in range(n + 1):
+            assert bfs(adj, sources, target, None, limit) == (
+                expected if expected <= limit else INF)
 
 
 @given(strategy_profiles(max_n=7))
