@@ -6,6 +6,13 @@ scale (guarded). Each candidate's BFS stops as soon as the candidate can
 no longer beat the best cost so far, so losing sets cost a few layers,
 not a full search. Cost comparisons are done in integer arithmetic
 derived from the exact rational alpha, never floats.
+
+Single-link moves (drop, buy or swap one link) are tried before any scan.
+A buy or swap is decided by ball cover, not by one BFS per candidate
+link: the kept links plus u bring every vertex within the group's hop
+limit h exactly when u lies within h hops of every vertex the kept links
+miss. Dynamics and search keep their adjacency in step with each move by
+updating only the rows it changes, and search streams its restarts.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from itertools import combinations
 
 from .errors import SizeGuard
 from .game import (INF, GameConfig, StrategyProfile, _buys_masks, _decode,
-                   _digit_table, _encode, _mask_to_tuple, agent_cost, bfs,
-                   build_graph, eccentricity)
+                   _digit_table, _encode, _mask_to_tuple, agent_cost, ball,
+                   bfs, build_graph, eccentricity)
 from .isomorphism import connected_classes, relabelings
 
 BEST_RESPONSE_MAX_N = 20
@@ -123,19 +130,6 @@ def _base_adj(adj, buys_masks, v: int) -> list:
     return base
 
 
-def _ecc_deviation(base_adj, v: int, smask: int, n: int, limit=INF):
-    """Eccentricity of v when v's purchase set is the bitmask smask; INF in
-    place of a value above ``limit`` when the limit is at least 1.
-
-    Every added link ends at v, which is the BFS source, so the search can
-    start from v plus its first ring on the unmodified base adjacency.
-    """
-    first = base_adj[v] | smask
-    if not first:
-        return 0 if n == 1 else INF
-    return 1 + bfs(base_adj, first | 1 << v, (1 << n) - 1, None, limit - 1)
-
-
 def _usage_limit(p: int, q: int, k: int, bound):
     """Largest usage e with p*k + q*e < ``bound``; INF while the bound is."""
     return INF if bound == INF else (bound - p * k - 1) // q
@@ -150,6 +144,25 @@ def _adj_of(buys_masks) -> list:
             adj[low.bit_length() - 1] |= 1 << u
             m ^= low
     return adj
+
+
+def _set_purchases(adj, buys_masks, v: int, mask: int) -> None:
+    """Give v the purchase mask ``mask``, updating in place only the rows of
+    ``adj`` that change: v's and those of the links it drops or buys. A
+    dropped link that its other end also bought stays."""
+    bv = 1 << v
+    changed = buys_masks[v] ^ mask
+    buys_masks[v] = mask
+    while changed:
+        low = changed & -changed
+        changed ^= low
+        u = low.bit_length() - 1
+        if mask & low:
+            adj[v] |= low
+            adj[u] |= bv
+        elif not buys_masks[u] & bv:
+            adj[v] &= ~low
+            adj[u] &= ~bv
 
 
 def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
@@ -190,6 +203,27 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
     return best
 
 
+def _cover_winners(base_adj, sources: int, hops: int, n: int, cands: int, balls: dict) -> int:
+    """The vertices u of ``cands`` such that ``sources`` plus u reach every
+    vertex within ``hops`` >= 0 hops of ``base_adj``.
+
+    A multi-source ball is the union of single-source balls and distance
+    is symmetric, so these are the candidates that lie within ``hops`` of
+    every vertex the sources alone miss: one ball per missed vertex,
+    ascending, until no candidate is left. ``balls`` caches the
+    single-vertex balls of this radius by vertex bit.
+    """
+    missed = ((1 << n) - 1) & ~ball(base_adj, sources, n, hops)
+    while missed and cands:
+        low = missed & -missed
+        missed ^= low
+        around = balls.get(low)
+        if around is None:
+            around = balls[low] = ball(base_adj, low, n, hops)
+        cands &= around
+    return cands
+
+
 def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool):
     """First strictly improving purchase set of v found, as (mask, k, e), or None.
 
@@ -197,8 +231,15 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
     Single-link moves come first: drop each owned link, then buy each
     missing link, then each (drop, buy) swap, in ascending index order.
     With ``exact`` the full scan follows, so None certifies best response.
-    Allocates nothing per move: enumeration calls it once per vertex and
-    owned set of every connected graph, search once per descent step.
+
+    Each group has a usage limit its moves must stay within to win, and v
+    with its first ring, being one hop short of v's usage, is the BFS
+    source. A drop costs one bounded BFS. Adds and swaps are decided by
+    ball cover instead of one BFS per bought link: the winning links of a
+    group are _cover_winners of the kept purchases, and the lowest one is
+    priced by one exact BFS. Swaps share their balls across drops.
+    Enumeration calls this once per vertex and owned set of every
+    connected graph, search once per descent step.
     """
     full = (1 << n) - 1
     cur_mask = buys_masks[v]
@@ -206,36 +247,35 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
     # INF when v is cut off, and then every move that reconnects it wins.
     cur_scaled = p * cur_k + q * bfs(adj, 1 << v, full)
     base = _base_adj(adj, buys_masks, v)
-    # Buying a link to an already-adjacent vertex only wastes alpha.
-    missing = full & ~(1 << v) & ~adj[v]
-    limit = _usage_limit(p, q, cur_k - 1, cur_scaled)
-    drops = cur_mask
+    ring = base[v] | 1 << v
+    hops = _usage_limit(p, q, cur_k - 1, cur_scaled) - 1
+    drops = cur_mask if hops >= 0 else 0
     while drops:
         low = drops & -drops
         drops ^= low
-        e = _ecc_deviation(base, v, cur_mask ^ low, n, limit)
+        e = 1 + bfs(base, ring | cur_mask ^ low, full, None, hops)
         if p * (cur_k - 1) + q * e < cur_scaled:
             return cur_mask ^ low, cur_k - 1, e
-    limit = _usage_limit(p, q, cur_k + 1, cur_scaled)
-    adds = missing
-    while adds:
-        low = adds & -adds
-        adds ^= low
-        e = _ecc_deviation(base, v, cur_mask | low, n, limit)
-        if p * (cur_k + 1) + q * e < cur_scaled:
-            return cur_mask | low, cur_k + 1, e
-    limit = _usage_limit(p, q, cur_k, cur_scaled)
-    drops = cur_mask
-    while drops:
-        drop = drops & -drops
-        drops ^= drop
-        adds = missing
-        while adds:
-            low = adds & -adds
-            adds ^= low
-            e = _ecc_deviation(base, v, cur_mask ^ drop | low, n, limit)
-            if p * cur_k + q * e < cur_scaled:
-                return cur_mask ^ drop | low, cur_k, e
+    # Buying a link to an already-adjacent vertex only wastes alpha.
+    missing = full & ~(1 << v) & ~adj[v]
+    hops = _usage_limit(p, q, cur_k + 1, cur_scaled) - 1
+    if missing and hops >= 0:
+        won = _cover_winners(base, ring | cur_mask, hops, n, missing, {})
+        if won:
+            low = won & -won
+            return cur_mask | low, cur_k + 1, 1 + bfs(base, ring | cur_mask | low, full)
+    hops = _usage_limit(p, q, cur_k, cur_scaled) - 1
+    if missing and hops >= 0:
+        balls: dict = {}
+        drops = cur_mask
+        while drops:
+            drop = drops & -drops
+            drops ^= drop
+            kept = cur_mask ^ drop
+            won = _cover_winners(base, ring | kept, hops, n, missing, balls)
+            if won:
+                low = won & -won
+                return kept | low, cur_k, 1 + bfs(base, ring | kept | low, full)
     return _scan_best_response(p, q, base, v, n, cur_scaled) if exact else None
 
 
@@ -349,8 +389,7 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
         if move is not None:
             mask, k, e = move
             cur = alpha * buys_masks[agent].bit_count() + eccentricity(adj, agent, n)
-            buys_masks[agent] = mask
-            adj = _adj_of(buys_masks)
+            _set_purchases(adj, buys_masks, agent, mask)
             steps.append(DynamicsStep(len(steps), agent, cur, alpha * k + e,
                                       _mask_to_tuple(mask)))
             quiet_agents = set()
@@ -388,14 +427,6 @@ def _price(alpha: Fraction, n: int, adj, buys_masks) -> ProfilePrice:
              for v, m in enumerate(buys_masks)]
     edges = sum(m.bit_count() for m in adj) // 2
     return ProfilePrice(edges, costs[0] != INF and edges == n - 1, sum(costs), max(costs))
-
-
-def _profile_is_nash_masks(p: int, q: int, n: int, adj, buys_masks) -> bool:
-    """Exact Nash decision on mask-level state (hot path for enumeration)."""
-    if bfs(adj, 1, (1 << n) - 1) == INF:
-        return False  # disconnected: buying every link is always better than INF
-    return all(_improving_move(p, q, n, adj, buys_masks, v, True) is None
-               for v in range(n))
 
 
 def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
@@ -515,17 +546,25 @@ def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
         canonical_forms=tuple(sorted(codes[0] for codes, _ in orbits)), stats=stats)
 
 
-def _parallel_map(func, args: list, workers: int) -> list:
-    """``[func(a) for a in args]``, on a pool of forked processes when more
-    than one is useful: never more than ``workers``, items or cores. Search
-    is the only caller: its restarts are independent and each is long
-    enough to repay the pool."""
-    procs = min(workers, len(args), os.cpu_count() or 1)
+# Restarts per pool task: map's choice of about four tasks per process,
+# capped because the pool holds each task's arguments and results whole.
+_MAX_CHUNK = 1024
+
+
+def _parallel_map(func, args, count: int, workers: int):
+    """Yield ``func(a)`` for each of the ``count`` items of the iterable
+    ``args``, in order, on a pool of forked processes when more than one is
+    useful: never more than ``workers``, items or cores. Items are drawn and
+    results yielded as the work goes, so memory does not grow with
+    ``count``. Search is the only caller: its restarts are independent and
+    each is long enough to repay the pool."""
+    procs = min(workers, count, os.cpu_count() or 1)
     if procs < 2:
-        return [func(a) for a in args]
+        yield from map(func, args)
+        return
     import multiprocessing as mp
     with mp.get_context("fork").Pool(procs) as pool:
-        return pool.map(func, args)
+        yield from pool.imap(func, args, min(-(-count // (4 * procs)), _MAX_CHUNK))
 
 
 def _random_buys_masks(rng: random.Random, n: int) -> list:
@@ -556,13 +595,18 @@ def _search_iteration(args):
         for v in agents:
             move = _improving_move(p, q, n, adj, buys_masks, v, False)
             if move is not None:
-                buys_masks[v] = move[0]
-                adj = _adj_of(buys_masks)
+                _set_purchases(adj, buys_masks, v, move[0])
                 break
         else:
             break
     edges = sum(m.bit_count() for m in adj) // 2
-    if edges == n - 1 or not _profile_is_nash_masks(p, q, n, adj, buys_masks):
+    # A disconnected profile is never Nash: buying every link beats INF.
+    # The exact scan alone gives each agent's verdict: an improving
+    # single-link move is also a set it scans, and a quiet sweep has just
+    # shown there is none.
+    if (edges == n - 1 or bfs(adj, 1, (1 << n) - 1) == INF
+            or any(_best_deviation(p, q, n, adj, buys_masks, v) is not None
+                   for v in range(n))):
         return None  # a tree, disconnected, or not an equilibrium
     return _encode(buys_masks), _price(alpha, n, adj, buys_masks)
 
@@ -576,12 +620,13 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
     exhaustive-verification guard). Returns the distinct finds as
     (ownership code, ProfilePrice) pairs sorted by code; an empty result
     proves nothing. Deterministic for a given seed, independent of worker
-    count.
+    count. Restarts are generated and their finds folded in as they run,
+    so memory does not grow with ``iterations``.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if config.n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"search needs n <= {BEST_RESPONSE_MAX_N}, got {config.n}")
-    args = [(config.n, config.alpha, seed, it) for it in range(iterations)]
-    results = _parallel_map(_search_iteration, args, workers)
+    restarts = ((config.n, config.alpha, seed, it) for it in range(iterations))
+    results = _parallel_map(_search_iteration, restarts, iterations, workers)
     return tuple(sorted(dict(found for found in results if found is not None).items()))

@@ -212,7 +212,8 @@ def bfs(adj, sources: int, target: int, layers: list | None = None, limit=INF):
     """Hops until every vertex of ``target`` is seen from the ``sources`` mask.
 
     The one frontier-expansion loop of the package: eccentricity,
-    distances, connectivity and smallest-parent trees are views of it.
+    distances, balls, connectivity and smallest-parent trees are views
+    of it.
     Returns INF if some target vertex is unreachable, and also, after one
     compare per layer, as soon as ``limit`` hops leave part of ``target``
     unseen: for a limit >= 0 the result is exact when at most ``limit``
@@ -244,6 +245,16 @@ def bfs(adj, sources: int, target: int, layers: list | None = None, limit=INF):
         if layers is not None:
             layers.append(frontier)
     return d
+
+
+def ball(adj, sources: int, n: int, radius=INF) -> int:
+    """Mask of the vertices within ``radius`` >= 0 hops of the ``sources``
+    mask, or of all it reaches at the default: the OR of bfs's layers.
+    A multi-source ball is the union of the single-source balls, and in
+    an undirected graph u is in w's ball exactly when w is in u's."""
+    layers: list = []
+    bfs(adj, sources, (1 << n) - 1, layers, radius)
+    return sum(layers)  # the layers are disjoint masks
 
 
 def eccentricity(adj, source: int, n: int):

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
 from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, agent_cost,
-                   all_pairs_distances, bfs, build_graph, distances_from,
+                   all_pairs_distances, ball, bfs, build_graph, distances_from,
                    eccentricity, metrics)
 
 
@@ -431,9 +431,7 @@ def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree) ->
     for v in sorted(component.vertices):
         if v in piece:
             continue
-        layers: list = []
-        bfs(adj, 1 << v, (1 << n) - 1, layers)
-        reached = sum(layers)  # the layers are disjoint masks
+        reached = ball(adj, 1 << v, n)
         piece.update((w, v) for w in component.vertices if reached >> w & 1)
     return piece
 

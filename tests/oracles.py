@@ -32,6 +32,21 @@ def bfs_distances(adj, source):
     return dist
 
 
+def ball(adj, sources, radius=INF):
+    """Vertices within ``radius`` hops of some source, by a deque BFS that
+    starts from all sources at once."""
+    dist = {s: 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        if dist[u] < radius:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+    return set(dist)
+
+
 def eccentricity(n, adj, v):
     dist = bfs_distances(adj, v)
     if len(dist) < n:

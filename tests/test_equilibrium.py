@@ -2,6 +2,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,7 @@ from ncg.game import INF, GameConfig, StrategyProfile, bfs, build_graph, social_
 from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
                              ProfilePrice, _adj_of, _buys_masks, _class_orbits,
                              _derive_seed, _improving_move, _mask_to_tuple,
-                             _nash_orientations, _parallel_map,
-                             _profile_is_nash_masks, _scan_best_response,
+                             _nash_orientations, _parallel_map, _scan_best_response,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
@@ -197,6 +197,24 @@ class TestImprovingMoveHeuristic:
                 assert not is_nash(cfg, profile).is_nash
 
 
+# Agent 5 owns {3, 4}. At alpha = 1 no drop or add wins, nor a swap that
+# drops 3; the swap of 4 for 1 wins on a cover that reuses vertex 0's
+# ball, cached while the swaps that drop 3 were decided.
+_SWAP_FROM_CACHE = StrategyProfile.from_sets([{1}, {4}, {5}, set(), set(), {3, 4}])
+
+
+@st.composite
+def _cut_profiles(draw, min_n, max_n):
+    """strategy_profiles, doubly-bought links included, with one agent cut
+    off from everyone half of the time."""
+    profile = draw(strategy_profiles(min_n=min_n, max_n=max_n))
+    if not draw(st.booleans()):
+        return profile
+    c = draw(st.integers(0, profile.n - 1))
+    return StrategyProfile.from_sets(set() if u == c else set(s) - {c}
+                                     for u, s in enumerate(profile.buys))
+
+
 def _single_link_moves(n, buys, v):
     """Drop each owned link, buy each missing link, then each (drop, buy)
     swap, all in ascending index order, as new purchase sets of v."""
@@ -218,15 +236,18 @@ class TestImprovingMoveDecider:
     def test_matches_oracle(self, profile, alpha):
         _check_improving_move(profile, alpha)
 
-    @given(strategy_profiles(min_n=6, max_n=8), alphas)
+    @given(_cut_profiles(min_n=6, max_n=11),
+           st.fractions(min_value=Fraction(1, 8), max_value=30, max_denominator=12))
     @example(_PATH_8, Fraction(1))  # the first improving add, {1, 3}, sits on its bound
     @example(directed_cycle_profile(8), Fraction(1, 4))
     @example(directed_cycle_profile(9), Fraction(19, 2))
     @example(_CUT_OFF_7, Fraction(2))
     @example(_CUT_OFF_7, Fraction(19, 2))
-    @settings(max_examples=30, deadline=None)
+    @example(_SWAP_FROM_CACHE, Fraction(1))
+    @settings(max_examples=40, deadline=None)
     def test_matches_oracle_deep(self, profile, alpha):
-        """n = 6..9, where each single-move group's bound cuts BFS runs."""
+        """n = 6..11, where each single-move group's bound cuts BFS runs and
+        the add and swap groups are decided on balls of that radius."""
         _check_improving_move(profile, alpha)
 
 
@@ -434,6 +455,15 @@ def _decode_ownership(code_int: int, n: int, pairs) -> tuple:
     return adj, buys_masks, "".join(digits)
 
 
+def _profile_is_nash_masks(p, q, n, adj, buys_masks) -> bool:
+    """Exact Nash decision on mask-level state: connected, and the exact
+    decider finds no agent an improving move."""
+    if bfs(adj, 1, (1 << n) - 1) == INF:
+        return False  # disconnected: buying every link is always better than INF
+    return all(_improving_move(p, q, n, adj, buys_masks, v, True) is None
+               for v in range(n))
+
+
 def _state_walk_codes(n, alpha):
     """Reference: the enumeration's former state walk, one exact Nash decision
     per each of the 3^(n(n-1)/2) single-ownership states."""
@@ -536,7 +566,7 @@ def _labeled_walk_codes(n, alpha, workers=1):
     total = 2 ** (n * (n - 1) // 2)
     step = -(-total // workers)
     args = [(n, alpha, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    parts = _parallel_map(_labeled_walk, args, workers)
+    parts = _parallel_map(_labeled_walk, args, len(args), workers)
     return sorted(code for found in parts for code in found)
 
 
@@ -632,6 +662,18 @@ class TestSearch:
         b = search_nontree_equilibria(cfg, seed=3, iterations=60, workers=4)
         c = search_nontree_equilibria(cfg, seed=3, iterations=60, workers=1)
         assert a == b == c
+
+    def test_restarts_stream_in_bounded_memory(self):
+        # n = 2 finds nothing, so the peak is the restart bookkeeping alone.
+        # Holding an argument tuple and a result for every restart takes
+        # about 120 B each, 2.4 MB at this count; streaming takes a few KB.
+        tracemalloc.start()
+        try:
+            search_nontree_equilibria(GameConfig(2, Fraction(1)), seed=1, iterations=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_every_find_is_nash_with_cycle(self):
         cfg = GameConfig(5, Fraction(1, 2))
@@ -765,25 +807,32 @@ class TestAgainstProfileLevelReferences:
 
 
 class _RecordingContext:
-    """Stands in for a fork context: records each pool size, forks nothing."""
+    """Stands in for a fork context: records each pool size and task chunk
+    size, forks nothing; with ``run`` False its pools do no work."""
 
-    def __init__(self):
+    def __init__(self, run=True):
         self.sizes = []
+        self.chunks = []
+        self.run = run
 
     def Pool(self, size):
         self.sizes.append(size)
-        return _SerialPool()
+        return _SerialPool(self)
 
 
 class _SerialPool:
+    def __init__(self, ctx):
+        self.ctx = ctx
+
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         return False
 
-    def map(self, func, args):
-        return [func(a) for a in args]
+    def imap(self, func, args, chunksize):
+        self.ctx.chunks.append(chunksize)
+        return map(func, args) if self.ctx.run else iter(())
 
 
 def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
@@ -794,5 +843,20 @@ def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [search_nontree_equilibria(cfg, seed=5, iterations=k, workers=100_000)
             for k in (3, 6)] == serial
-    # 3 iterations on 4 cores, then 6 iterations on 4 cores
+    # 3 iterations on 4 cores, then 6 iterations on 4 cores, in tasks of
+    # the size map would pick: about four per process
     assert ctx.sizes == [3, 4]
+    assert ctx.chunks == [1, 1]
+
+
+def test_pool_chunks_capped_for_huge_restart_counts(monkeypatch):
+    # The pool holds a task's arguments whole, so a chunk of a quarter of
+    # each process's share would grow with --iters; the cap bounds it.
+    ctx = _RecordingContext(run=False)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = GameConfig(4, Fraction(1, 2))
+    for iterations in (800, 10 ** 9):
+        assert search_nontree_equilibria(cfg, seed=5, iterations=iterations, workers=2) == ()
+    assert ctx.sizes == [2, 2]
+    assert ctx.chunks == [100, 1024]

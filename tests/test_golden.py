@@ -63,6 +63,7 @@ def _inputs():
         "star8.ncg": _profile_text(8, 3, {(0, v) for v in range(1, 8)}, rng),
         "audit-a3.ncg": _audit_text(3),
         "audit-a25.ncg": _audit_text(25),
+        "rand12.ncg": _profile_text(12, 1, _random_connected(rng, list(range(12)), 0.15), rng),
     }
 
 
@@ -82,6 +83,10 @@ JOBS = {
     "poa-n6": ["poa", "--n", "6", "--alpha", "2"],
     "audit-a3": ["audit", "--in", "audit-a3.ncg", "--witnesses"],
     "audit-a25": ["audit", "--in", "audit-a25.ncg", "--witnesses"],
+    # The search descent and the dynamics state updates at a larger n.
+    "search-n10": ["search", "--n", "10", "--alpha", "1", "--iters", "60", "--seed", "4"],
+    "dynamics-n12": ["dynamics", "--in", "rand12.ncg", "--schedule", "rand",
+                     "--seed", "2", "--budget", "80"],
 }
 
 GOLDEN = {
@@ -93,6 +98,8 @@ GOLDEN = {
     "best-response.stdout": "454e175d90f3e4e60f03cfe6c5a66a4d341d71995e55266a659f06f23bf6a20a",
     "dynamics-in.csv": "faf375eeb0293c0ad8ff463d6a098f2ffde3016405a59606c20b972b13c12689",
     "dynamics-in.stdout": "c0347ca9430c9500f5163223cfb6136a1f0274fb0970e86e11cc0516d1767deb",
+    "dynamics-n12.csv": "53d925033adc4aa6560d9014218485b85702d35fe93235a3d61b1cdca582a2f2",
+    "dynamics-n12.stdout": "645d4c6f272cb472eb467c819cd791b47702301da68f2806f8ed3b457b6e31be",
     "dynamics.csv": "e4272a2225b2e2b12711b48bae7b02045fc0347d3aae742eb5cc798e80d1dcf4",
     "dynamics.stdout": "97711a858f2093537c64c6009e4e04c9703f414f84fb2cd30d30eb3170d140f1",
     "enumerate-n6.csv": "db72a42f864459284126129ebce97a37a002ae389d1169f8b0b03cf73b7837fb",
@@ -105,6 +112,8 @@ GOLDEN = {
     "poa-n6.stdout": "6b2327bb9347cb509cbe6d81e4313208c2918e5947be3afd1db644d2cc002b43",
     "poa.csv": "824b91f8327be984433f8c182d3722988110195f166d1f411ed96db3dc682a96",
     "poa.stdout": "5141ee14820651f8fddbf3d8fa43e02a27238cb4390c11a73e73c45d119c9783",
+    "search-n10.csv": "86539c92091ac3a12ee67e57f5d3451f0f46697243d70b36146720314bcd0f62",
+    "search-n10.stdout": "91748e6da665b126db5d0e7cd6569912f7f46e00a0ca2706bef7d46a4d759a6d",
     "search.csv": "509c5824153ce35c14d6d54afeb40587fae6c7644d547e192371badc61d7e06f",
     "search.stdout": "7cc5788456f8248cf9dafcf4191f4472d8728ef8b430f8ba9951e2a2bcfd9ab3",
     "verify-star.csv": "cf6a5711f7cc601a7412b60622fceda6edfd8544684c972281f6aa205427cde5",

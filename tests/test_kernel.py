@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import strategy_profiles
-from ncg.game import INF, StrategyProfile, bfs, build_graph
-from ncg.equilibrium import _base_adj, _buys_masks, _ecc_deviation
+from ncg.game import INF, StrategyProfile, ball, bfs, build_graph
+from ncg.equilibrium import _adj_of, _base_adj, _buys_masks, _set_purchases
 from ncg.structure import shortest_path_tree
 
 
@@ -96,6 +96,49 @@ class TestBfs:
                 expected if expected <= limit else INF)
 
 
+class TestBall:
+    def test_path(self):
+        adj = _path_adj(6)
+        assert ball(adj, 1 << 2, 6, 0) == 0b000100
+        assert ball(adj, 1 << 2, 6, 1) == 0b001110
+        assert ball(adj, 1 | 1 << 5, 6, 1) == 0b110011
+        assert ball(adj, 1, 6) == 0b111111
+
+    def test_stops_at_the_component(self):
+        adj = build_graph(StrategyProfile.from_sets([{1}, set(), {3}, set()])).adj
+        assert ball(adj, 1, 4) == ball(adj, 1, 4, 3) == 0b0011
+
+    @given(_graph_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, query):
+        """Multi-source balls of every radius 0..n and INF against the
+        oracle's deque BFS."""
+        n, edges, sources, _ = query
+        adj = [0] * n
+        for u, w in edges:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        plain = oracles.adjacency(n, [[w for u, w in edges if u == x] for x in range(n)])
+        starts = [u for u in range(n) if sources >> u & 1]
+        for radius in [*range(n + 1), INF]:
+            assert ball(adj, sources, n, radius) == _mask(oracles.ball(plain, starts, radius))
+
+
+@given(strategy_profiles(max_n=7), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 127))))
+@example(StrategyProfile.from_sets([{1}, {0}]), [(0, 0), (1, 0)])  # drop both copies
+@settings(max_examples=80, deadline=None)
+def test_in_place_purchases_match_rebuilt_adjacency(profile, moves):
+    """Any sequence of strategy changes, doubly-bought links included,
+    leaves the adjacency the purchase masks induce."""
+    n = profile.n
+    buys_masks = _buys_masks(profile)
+    adj = _adj_of(buys_masks)
+    for v, mask in moves:
+        v %= n
+        _set_purchases(adj, buys_masks, v, mask & ((1 << n) - 1) & ~(1 << v))
+        assert adj == _adj_of(buys_masks)
+
+
 @given(strategy_profiles(max_n=7))
 @settings(max_examples=40, deadline=None)
 def test_shortest_path_tree_takes_smallest_parent(profile):
@@ -121,9 +164,12 @@ def test_shortest_path_tree_takes_smallest_parent(profile):
 @example(StrategyProfile.from_sets([{1}, {0, 2}, {3}, set()]))  # 0-1 bought twice
 @settings(max_examples=60, deadline=None)
 def test_copy_free_deviation_matches_oracle(profile):
-    """Every agent v and every purchase set S: the deviation BFS on the
-    base adjacency equals the oracle's eccentricity where v buys S."""
+    """Every agent v and every purchase set S: one hop plus the BFS from v,
+    its first ring and S on the base adjacency equals the oracle's
+    eccentricity where v buys S. The lone agent of n = 1 has usage 0 and
+    no ring; the scan answers it before any BFS."""
     n = profile.n
+    full = (1 << n) - 1
     graph = build_graph(profile)
     buys_masks = _buys_masks(profile)
     for v in range(n):
@@ -132,4 +178,5 @@ def test_copy_free_deviation_matches_oracle(profile):
             trial = list(profile.buys)
             trial[v] = set(subset)
             expected = oracles.eccentricity(n, oracles.adjacency(n, trial), v)
-            assert _ecc_deviation(base, v, _mask(subset), n) == expected
+            usage = 1 + bfs(base, base[v] | _mask(subset) | 1 << v, full) if n > 1 else 0
+            assert usage == expected
