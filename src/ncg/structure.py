@@ -8,6 +8,11 @@ closest-vertex partitions around a component, and shopping vertices.
 ``audit_equilibrium_structure`` evaluates every structural predicate
 expected of an equilibrium and attaches re-verifiable witnesses to any
 failure.
+
+The audit reads one graph-wide table of the shortest cycle through each
+edge. Bridges come from the blocks, so they need no search; an edge in a
+triangle is read off the common-neighbour mask of its ends; every other
+edge costs one BFS in the graph without it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import contains
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
 from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, agent_cost,
@@ -249,16 +255,6 @@ def _lowest_vertex(mask: int) -> int:
 # cycles
 
 
-def _cycle_owners(graph: OwnedGraph, vertices: tuple) -> tuple:
-    owners = []
-    L = len(vertices)
-    for i in range(L):
-        u, v = vertices[i], vertices[(i + 1) % L]
-        e = (u, v) if u < v else (v, u)
-        owners.append(graph.owners.get(e, frozenset()))
-    return tuple(owners)
-
-
 def is_min_cycle(graph: OwnedGraph, cycle) -> bool:
     """True iff every pairwise distance along the cycle equals the graph distance."""
     vertices = tuple(cycle.vertices if isinstance(cycle, MinCycle) else cycle)
@@ -280,6 +276,12 @@ def is_min_cycle(graph: OwnedGraph, cycle) -> bool:
 
 def _shortest_path_avoiding_edge(graph: OwnedGraph, u: int, v: int):
     """Smallest-parent BFS path from u to v in the graph minus edge (u, v)."""
+    common = graph.adj[u] & graph.adj[v]
+    if common:
+        # Without the edge, layer 1 from u is adj[u] minus v, so v is first
+        # seen at layer 2 and its smallest parent is the lowest common
+        # neighbour: the BFS below would return this same triangle.
+        return [u, _lowest_vertex(common), v]
     adj = list(graph.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
@@ -295,9 +297,12 @@ def _shortest_path_avoiding_edge(graph: OwnedGraph, u: int, v: int):
 
 
 def min_cycle_through_edge(graph: OwnedGraph, e) -> MinCycle | None:
-    """A shortest cycle through e (None for bridges). Such a cycle always
-    has the min-cycle property: a shortcut between two of its vertices
-    would close a shorter u-v path in the graph minus e."""
+    """A shortest cycle through e = (u, v), read from u to v (None for
+    bridges). Such a cycle always has the min-cycle property: a shortcut
+    between two of its vertices would close a shorter u-v path in the graph
+    minus e. An edge in a triangle takes its lowest common neighbour
+    straight from the adjacency masks; any other edge costs one BFS in the
+    graph minus e."""
     u, v = e
     if not graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
@@ -305,17 +310,15 @@ def min_cycle_through_edge(graph: OwnedGraph, e) -> MinCycle | None:
     if path is None:
         return None
     vertices = tuple(path)  # closing edge (v, u) wraps around
-    owners = _cycle_owners(graph, vertices)
+    heads = vertices[1:] + vertices[:1]
+    get = graph.owners.get
+    owners = tuple(get((a, b) if a < b else (b, a), frozenset())
+                   for a, b in zip(vertices, heads))
+    # Directed: every edge is bought by its tail, read one way or the other.
+    directed = (all(map(contains, owners, vertices))
+                or all(map(contains, owners, heads)))
     return MinCycle(vertices=vertices, length=len(vertices),
-                    directed=_owners_directed(vertices, owners), owners=owners)
-
-
-def _owners_directed(vertices: tuple, owners: tuple) -> bool:
-    """True iff every edge is bought by its tail in one of the two directions;
-    ``owners[i]`` belongs to the edge (vertices[i], vertices[i+1 mod len])."""
-    L = len(vertices)
-    return (all(vertices[i] in own for i, own in enumerate(owners))
-            or all(vertices[(i + 1) % L] in own for i, own in enumerate(owners)))
+                    directed=directed, owners=owners)
 
 
 def girth(graph: OwnedGraph):
@@ -325,14 +328,19 @@ def girth(graph: OwnedGraph):
 
 
 def shortest_cycle(graph: OwnedGraph):
-    """Vertices of one shortest cycle (deterministic pick), or None."""
-    return _min_cycles(graph)[1]
+    """Vertices of one shortest cycle (deterministic pick), or None: the
+    first shortest entry of the min-cycle table over the graph's blocks."""
+    return _min_cycles(graph, biconnected_components(graph))[1]
 
 
-def _min_cycles(graph: OwnedGraph):
-    """The shortest cycle through each edge in sorted edge order (None for
-    bridges), and the vertices of the first shortest one (None for forests)."""
-    table = {e: min_cycle_through_edge(graph, e) for e in sorted(graph.edges)}
+def _min_cycles(graph: OwnedGraph, comps):
+    """The shortest cycle through each edge in sorted edge order, and the
+    vertices of the first shortest one (None for forests). ``comps`` are
+    the graph's biconnected components: an edge in none of them is a
+    bridge and maps to None without a search."""
+    in_blocks = frozenset().union(*(c.edges for c in comps))
+    table = {e: min_cycle_through_edge(graph, e) if e in in_blocks else None
+             for e in sorted(graph.edges)}
     return table, min((mc.vertices for mc in table.values() if mc is not None),
                       key=len, default=None)
 
@@ -494,7 +502,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     comps = biconnected_components(graph)
     # A block's cycles and inner shortest paths never leave it, so the
     # component checks read these graph-wide tables.
-    cycles, cyc = _min_cycles(graph)
+    cycles, cyc = _min_cycles(graph, comps)
     records: list[CheckRecord] = []
 
     g = None if cyc is None else len(cyc)
@@ -673,7 +681,10 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
 
     def run_shopping_pairs():
         lca_bad, dist_bad = [], []
-        threshold = (alpha - 1) / 2
+        half = (alpha - 1) / 2
+        # Depths are ints, and an int is below half iff below its ceiling.
+        below = math.ceil(half)
+        threshold = str(half)
         examined = 0
         for piece, shopping in shopping_ctx:
             members = sorted(shopping.members)
@@ -682,12 +693,12 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
                     continue  # no tree path between them: infinitely separated
                 examined += 1
                 x, d1, d2 = _lca_and_depths(spt, u1, u2)
-                if max(d1, d2) < threshold:
+                if max(d1, d2) < below:
                     lca_bad.append(Witness(
                         "close_shopping_pair", (u1, u2, x, d1, d2),
                         f"shopping vertices {u1},{u2} are {d1},{d2} from their "
                         f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
-                if d1 + d2 < threshold:
+                if d1 + d2 < below:
                     dist_bad.append(Witness(
                         "close_shopping_pair", (u1, u2, d1 + d2),
                         f"tree distance {d1 + d2} between shopping vertices "

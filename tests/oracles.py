@@ -138,6 +138,29 @@ def girth(n, adj):
     return min((len(c) for c in cycles), default=None)
 
 
+def min_cycle_through_edge(n, adj, u, v):
+    """Vertices of the shortest cycle through the edge (u, v), starting at u
+    and ending at v, or None for a bridge. A deque BFS from u in the graph
+    without that edge gives the distances; the path is read back from v,
+    each step to the smallest neighbour one hop closer to u."""
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        a = queue.popleft()
+        for b in adj[a]:
+            if {a, b} != {u, v} and b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    if v not in dist:
+        return None
+    path = [v]
+    while path[-1] != u:
+        a = path[-1]
+        path.append(min(b for b in adj[a]
+                        if {a, b} != {u, v} and dist.get(b) == dist[a] - 1))
+    return tuple(reversed(path))
+
+
 def biconnected_components(n, adj):
     """Edge classes joined by membership in a common simple cycle, reported
     when they span at least three vertices. Bridges never join a cycle and

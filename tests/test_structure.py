@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,12 +13,13 @@ import ncg.structure
 from conftest import (directed_cycle_profile, profile_from_edges,
                       random_connected_graph_edges)
 from ncg.errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from ncg.game import GameConfig, StrategyProfile, all_pairs_distances, build_graph
+from ncg.game import (GameConfig, StrategyProfile, all_pairs_distances, build_graph,
+                      metrics)
 from ncg.equilibrium import is_nash
-from ncg.structure import (audit_equilibrium_structure, biconnected_components,
-                           closest_assignment, component_is_cycle,
-                           component_subgraph, girth, is_min_cycle,
-                           lemma_crucial_deviation,
+from ncg.structure import (Witness, audit_equilibrium_structure,
+                           biconnected_components, closest_assignment,
+                           component_is_cycle, component_subgraph, girth,
+                           is_min_cycle, lemma_crucial_deviation,
                            min_cycle_through_edge, shopping_vertices,
                            shortest_cycle, shortest_path_tree, two_degree_paths)
 
@@ -229,6 +231,82 @@ class TestMinCycleTable:
         shortest = [mc.vertices for mc in cycles
                     if mc.length == min(c.length for c in cycles)]
         assert shortest_cycle(g) == (shortest[0] if shortest else None)
+
+    def test_bridges_and_triangles_need_no_bfs(self, monkeypatch):
+        calls = Counter()
+
+        def counted(*args, _fn=ncg.structure.bfs, **kwargs):
+            calls["bfs"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ncg.structure, "bfs", counted)
+        tree = graph_from_edges(7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)])
+        table, first = ncg.structure._min_cycles(tree, biconnected_components(tree))
+        assert list(table) == sorted(tree.edges)
+        assert set(table.values()) == {None} and first is None
+        k6 = graph_from_edges(6, combinations(range(6), 2))
+        table, first = ncg.structure._min_cycles(k6, biconnected_components(k6))
+        assert {mc.length for mc in table.values()} == {3} and len(first) == 3
+        assert calls["bfs"] == 0
+
+
+def _dict_adjacency(g):
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _bought_around(g, cycle):
+    """True iff every edge of the cycle is bought by its tail, read in one
+    of the two directions."""
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    return (all(a in g.owners[(min(a, b), max(a, b))] for a, b in steps)
+            or all(b in g.owners[(min(a, b), max(a, b))] for a, b in steps))
+
+
+_K5 = graph_from_edges(5, combinations(range(5), 2))
+_PATH = graph_from_edges(6, [(i, i + 1) for i in range(5)])
+_STAR = graph_from_edges(6, [(0, i) for i in range(1, 6)])
+_C7 = build_graph(directed_cycle_profile(7))
+# K4 on 0..3 with the pendant path 3-4-5-6
+_CORE_WITH_PATH = graph_from_edges(
+    7, [*combinations(range(4), 2), (3, 4), (4, 5), (5, 6)])
+
+
+class TestMinCycleOracle:
+    """Every per-edge min cycle, the graph-wide table, the shortest cycle
+    and the girth against the deque-BFS oracle."""
+
+    @given(owned_graphs(max_n=14))
+    @example(_K5)
+    @example(_PATH)
+    @example(_STAR)
+    @example(_BLOCKS)
+    @example(_C7)
+    @example(_CORE_WITH_PATH)
+    def test_min_cycles_match_oracle(self, g):
+        adj = _dict_adjacency(g)
+        want = {}
+        for u, v in sorted(g.edges):
+            for a, b in ((u, v), (v, u)):
+                cycle = oracles.min_cycle_through_edge(g.n, adj, a, b)
+                mc = min_cycle_through_edge(g, (a, b))
+                assert (None if mc is None else mc.vertices) == cycle
+                if cycle is not None:
+                    assert mc.length == len(cycle)
+                    assert mc.directed == _bought_around(g, cycle)
+            want[(u, v)] = oracles.min_cycle_through_edge(g.n, adj, u, v)
+        table, first = ncg.structure._min_cycles(g, biconnected_components(g))
+        assert list(table) == list(want)
+        assert {e: None if mc is None else mc.vertices
+                for e, mc in table.items()} == want
+        found = [c for c in want.values() if c is not None]
+        shortest = min(found, key=len, default=None)
+        assert first == shortest
+        assert shortest_cycle(g) == shortest
+        assert girth(g) == (None if shortest is None else len(shortest))
 
 
 def _directed_flags(profile):
@@ -478,12 +556,13 @@ class TestAudit:
                 return _fn(*args)
             monkeypatch.setattr(ncg.structure, name, counted)
         profile = profile_from_edges(12, _BLOCKS.edges)
-        assert len(biconnected_components(_BLOCKS)) == 3
+        blocks = biconnected_components(_BLOCKS)
+        assert len(blocks) == 3
         report = audit_equilibrium_structure(GameConfig(12, Fraction(25)), profile)
         assert report.record("shopping_lca_gap").applicable
         assert calls == {"build_graph": 1, "all_pairs_distances": 1,
                          "shortest_path_tree": 1,
-                         "min_cycle_through_edge": len(_BLOCKS.edges),
+                         "min_cycle_through_edge": sum(len(c.edges) for c in blocks),
                          "closest_assignment": 3, "shopping_vertices": 3}
 
     def test_witnesses_reverify(self):
@@ -495,6 +574,77 @@ class TestAudit:
             for w in rec.witnesses:
                 if w.kind == "cycle":
                     assert is_min_cycle(graph, w.payload) or len(w.payload) >= 3
+
+
+def _shopping_flower(lengths):
+    """Cycles of the given lengths through vertex 0, each bought around in
+    one direction, with the edge of each cycle farthest from 0 bought by
+    both its ends; and K4 minus (0, c) on 0, a, b, c, where a buys (a, b)
+    and c buys (c, b). Vertex 0 is a center, so the audit's tree is rooted
+    there: the cycle of length L = 2k + 1 gives a shopping pair at tree
+    depths k, k, the one of length 2k a pair at k, k - 1, and a, c a pair
+    whose tree ancestor is a itself, at 0, 1."""
+    buys = [set()]
+    for length in lengths:
+        cycle = [0, *range(len(buys), len(buys) + length - 1)]
+        buys.extend(set() for _ in range(length - 1))
+        for i, u in enumerate(cycle):
+            buys[u].add(cycle[(i + 1) % length])
+        k = length // 2
+        buys[cycle[k + 1]].add(cycle[k])
+    a, b, c = range(len(buys), len(buys) + 3)
+    buys.extend([{b, c}, set(), {b}])
+    buys[0] |= {a, b}
+    return StrategyProfile.from_sets(buys)
+
+
+def _shopping_pair_reference(alpha, profile):
+    """The two shopping-pair witness lists, comparing tree depths with the
+    Fraction (alpha - 1) / 2, and the (max, sum) depths of every pair."""
+    graph = build_graph(profile)
+    spt = shortest_path_tree(graph, min(metrics(all_pairs_distances(graph)).centers))
+    threshold = (alpha - 1) / 2
+    lca_bad, dist_bad, depths = [], [], set()
+    for comp in biconnected_components(graph):
+        piece = ncg.structure._tree_restriction(comp, spt)
+        members = sorted(shopping_vertices(profile, comp, spt).members)
+        for u1, u2 in combinations(members, 2):
+            if piece[u1] != piece[u2]:
+                continue
+            x, d1, d2 = ncg.structure._lca_and_depths(spt, u1, u2)
+            depths.add((max(d1, d2), d1 + d2))
+            if Fraction(max(d1, d2)) < threshold:
+                lca_bad.append(Witness(
+                    "close_shopping_pair", (u1, u2, x, d1, d2),
+                    f"shopping vertices {u1},{u2} are {d1},{d2} from their "
+                    f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
+            if Fraction(d1 + d2) < threshold:
+                dist_bad.append(Witness(
+                    "close_shopping_pair", (u1, u2, d1 + d2),
+                    f"tree distance {d1 + d2} between shopping vertices "
+                    f"{u1},{u2} < (alpha-1)/2 = {threshold}"))
+    return lca_bad, dist_bad, depths
+
+
+class TestShoppingThreshold:
+    """The shopping-pair checks compare integer tree depths with
+    (alpha - 1) / 2, an integer at some alphas and not at others."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(5), Fraction(6), Fraction(7, 2),
+                                       Fraction(25)])
+    def test_witnesses_match_fraction_reference(self, alpha):
+        depths = set()
+        for profile in (_shopping_flower([3, 4, 5, 6, 7]),
+                        _shopping_flower([12, 13, 22, 23, 24, 25])):
+            report = audit_equilibrium_structure(GameConfig(profile.n, alpha), profile)
+            lca_bad, dist_bad, found = _shopping_pair_reference(alpha, profile)
+            assert report.record("shopping_lca_gap").witnesses == tuple(lca_bad)
+            assert report.record("shopping_pair_distance").witnesses == tuple(dist_bad)
+            depths |= found
+        # pairs at the least depth that passes and one below it, in both checks
+        at = math.ceil((alpha - 1) / 2)
+        assert {at, at - 1} <= {m for m, _ in depths}
+        assert {at, at - 1} <= {s for _, s in depths}
 
 
 class TestCrucialDeviation:
