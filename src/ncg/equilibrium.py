@@ -1,18 +1,18 @@
 """Exact equilibrium verification, enumeration, dynamics, and search.
 
-Verification is exhaustive: an agent's best response is found by scanning
-all 2^(n-1) purchase sets, so results are exact but only feasible at desk
+Every exact per-agent decision reads one primitive, _best_response: the
+agent's current cost and its cheapest purchase set, found by scanning all
+2^(n-1) purchase sets, so results are exact but only feasible at desk
 scale (guarded). Each candidate's BFS stops as soon as the candidate can
-no longer beat the best cost so far, so losing sets cost a few layers,
-not a full search. Cost comparisons are done in integer arithmetic
-derived from the exact rational alpha, never floats.
+no longer beat the best cost so far. Costs compare as integers derived
+from the exact rational alpha, never floats.
 
-Single-link moves (drop, buy or swap one link) are tried before any scan.
-A buy or swap is decided by ball cover, not by one BFS per candidate
-link: the kept links plus u bring every vertex within the group's hop
-limit h exactly when u lies within h hops of every vertex the kept links
-miss. Dynamics and search keep their adjacency in step with each move by
-updating only the rows it changes, and search streams its restarts.
+The single-link decider (drop, buy or swap one link) is a cheap filter
+for search's descent and enumeration's content check. A buy or swap is
+decided by ball cover: the kept links plus u bring every vertex within
+the group's hop limit h exactly when u lies within h hops of every
+vertex the kept links miss. Dynamics and search update only the
+adjacency rows a move changes, and search streams its restarts.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeGuard
-from .game import (INF, GameConfig, StrategyProfile, _buys_masks, _decode,
-                   _digit_table, _encode, _mask_to_tuple, agent_cost, ball,
-                   bfs, build_graph, eccentricity)
+from .game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
+                   _check_size, _decode, _digit_table, _encode, _mask_to_tuple,
+                   _state, agent_cost, ball, bfs, eccentricity)
 from .isomorphism import connected_classes, relabelings
 
 BEST_RESPONSE_MAX_N = 20
@@ -135,17 +135,6 @@ def _usage_limit(p: int, q: int, k: int, bound):
     return INF if bound == INF else (bound - p * k - 1) // q
 
 
-def _adj_of(buys_masks) -> list:
-    """Neighbour masks of the graph the purchase masks induce."""
-    adj = list(buys_masks)
-    for u, m in enumerate(buys_masks):
-        while m:
-            low = m & -m
-            adj[low.bit_length() - 1] |= 1 << u
-            m ^= low
-    return adj
-
-
 def _set_purchases(adj, buys_masks, v: int, mask: int) -> None:
     """Give v the purchase mask ``mask``, updating in place only the rows of
     ``adj`` that change: v's and those of the links it drops or buys. A
@@ -178,7 +167,7 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
     soon as its usage can no longer beat the bound, which tightens with
     every win; a cut BFS returns INF, which never wins, so every returned
     triple is exact. The only exhaustive scan, so the only place that
-    enforces BEST_RESPONSE_MAX_N.
+    enforces BEST_RESPONSE_MAX_N; _best_response is its one caller.
     """
     if n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
@@ -224,13 +213,11 @@ def _cover_winners(base_adj, sources: int, hops: int, n: int, cands: int, balls:
     return cands
 
 
-def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool):
-    """First strictly improving purchase set of v found, as (mask, k, e), or None.
-
-    The one per-agent Nash decider; alpha = p/q as in _scan_best_response.
-    Single-link moves come first: drop each owned link, then buy each
-    missing link, then each (drop, buy) swap, in ascending index order.
-    With ``exact`` the full scan follows, so None certifies best response.
+def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int):
+    """First strictly improving single-link move of v, as (mask, k, e), or
+    None, which does not rule out a multi-link move; alpha = p/q as in
+    _scan_best_response. Drops of owned links come first, then buys of
+    missing links, then (drop, buy) swaps, in ascending index order.
 
     Each group has a usage limit its moves must stay within to win, and v
     with its first ring, being one hop short of v's usage, is the BFS
@@ -238,8 +225,6 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
     ball cover instead of one BFS per bought link: the winning links of a
     group are _cover_winners of the kept purchases, and the lowest one is
     priced by one exact BFS. Swaps share their balls across drops.
-    Enumeration calls this once per vertex and owned set of every
-    connected graph, search once per descent step.
     """
     full = (1 << n) - 1
     cur_mask = buys_masks[v]
@@ -276,14 +261,23 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int, exact: bool
             if won:
                 low = won & -won
                 return kept | low, cur_k, 1 + bfs(base, ring | kept | low, full)
-    return _scan_best_response(p, q, base, v, n, cur_scaled) if exact else None
+    return None
+
+
+def _best_response(p: int, q: int, n: int, adj, buys_masks, v: int):
+    """(cur, (mask, k, e)): v's current scaled cost (INF when v is cut off)
+    and its (size, lex)-first cheapest purchase set, scaled as in
+    _scan_best_response. The bound cur + 1 admits v's own set, so a set
+    always comes back; it improves on v's set exactly when p*k + q*e < cur.
+    """
+    cur = p * buys_masks[v].bit_count() + q * bfs(adj, 1 << v, (1 << n) - 1)
+    return cur, _scan_best_response(p, q, _base_adj(adj, buys_masks, v), v, n, cur + 1)
 
 
 def _best_deviation(p: int, q: int, n: int, adj, buys_masks, v: int):
-    """v's cheapest strictly improving set as (mask, k, e), or None at best
-    response; the scan order makes it best_response_exact's strategy."""
-    cur_scaled = p * buys_masks[v].bit_count() + q * bfs(adj, 1 << v, (1 << n) - 1)
-    return _scan_best_response(p, q, _base_adj(adj, buys_masks, v), v, n, cur_scaled)
+    """v's cheapest strictly improving set as (mask, k, e), or None at best response."""
+    cur, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+    return (mask, k, e) if p * k + q * e < cur else None
 
 
 def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
@@ -292,39 +286,36 @@ def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
     Ties break toward fewer purchases, then lexicographically smallest
     purchase tuple. Returns (strategy tuple, cost).
     """
+    buys_masks, adj = _state(config, profile)
     n = config.n
-    if profile.n != n:
-        raise ValueError("profile size does not match config")
     if not 0 <= v < n:
         raise ValueError(f"agent {v} out of range for n = {n}")
-    base = _base_adj(build_graph(profile).adj, _buys_masks(profile), v)
     p, q = config.alpha.numerator, config.alpha.denominator
-    # Never None: buying every link gives usage <= 1.
-    mask, k, e = _scan_best_response(p, q, base, v, n, INF)
+    _, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
     return _mask_to_tuple(mask), config.alpha * k + e
 
 
 def is_nash(config: GameConfig, profile: StrategyProfile) -> EquilibriumReport:
     """Exact equilibrium decision; a failing profile gets an optimal-deviation witness."""
+    buys_masks, adj = _state(config, profile)
     n = config.n
-    adj = build_graph(profile).adj
-    buys_masks = _buys_masks(profile)
     p, q = config.alpha.numerator, config.alpha.denominator
+    best = []
     for v in range(n):
-        move = _best_deviation(p, q, n, adj, buys_masks, v)
-        if move is not None:
-            mask, k, e = move
+        cur, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+        if p * k + q * e < cur:
             old = config.alpha * len(profile.buys[v]) + eccentricity(adj, v, n)
             witness = DeviationWitness(v, profile.buys[v], _mask_to_tuple(mask),
                                        old, config.alpha * k + e)
             return EquilibriumReport(is_nash=False, witness=witness, per_agent_best=None)
-    return EquilibriumReport(is_nash=True, witness=None, per_agent_best=tuple(
-        config.alpha * len(s) + eccentricity(adj, v, n) for v, s in enumerate(profile.buys)))
+        best.append(config.alpha * k + e)
+    return EquilibriumReport(is_nash=True, witness=None, per_agent_best=tuple(best))
 
 
 def verify_witness(config: GameConfig, profile: StrategyProfile,
                    witness: DeviationWitness) -> bool:
     """Recompute both costs from scratch and confirm the strict improvement."""
+    _check_size(config, profile)
     if profile.buys[witness.agent] != tuple(witness.old_strategy):
         return False
     deviated = profile.with_strategy(witness.agent, witness.new_strategy)
@@ -340,11 +331,12 @@ def improving_move_heuristic(config: GameConfig, profile: StrategyProfile,
     A None result does not certify equilibrium; this is a cheap necessary
     filter, and the single-move vocabulary misses multi-link deviations.
     """
+    buys_masks, adj = _state(config, profile)
     n = config.n
-    buys_masks = _buys_masks(profile)
-    adj = _adj_of(buys_masks)
+    if not 0 <= v < n:
+        raise ValueError(f"agent {v} out of range for n = {n}")
     p, q = config.alpha.numerator, config.alpha.denominator
-    move = _improving_move(p, q, n, adj, buys_masks, v, False)
+    move = _improving_move(p, q, n, adj, buys_masks, v)
     if move is None:
         return None
     mask, k, e = move
@@ -369,14 +361,11 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
         raise ValueError("budget must be >= 1")
     if schedule not in ("round-robin", "uniform-random"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    buys_masks, adj = _state(config, initial)
     n = config.n
-    if initial.n != n:
-        raise ValueError("initial profile size does not match config")
     rng = random.Random(_derive_seed(seed)) if schedule == "uniform-random" else None
     alpha = config.alpha
     p, q = alpha.numerator, alpha.denominator
-    buys_masks = _buys_masks(initial)
-    adj = _adj_of(buys_masks)
     steps: list[DynamicsStep] = []
     quiet_agents: set[int] = set()
     visited = {(tuple(buys_masks), 0)}
@@ -459,7 +448,8 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
         verdict = table.get(owned[v])
         if verdict is None:
             checks += 1
-            verdict = table[owned[v]] = _improving_move(p, q, n, adj, owned, v, True) is None
+            verdict = table[owned[v]] = (_improving_move(p, q, n, adj, owned, v) is None
+                                         and _best_deviation(p, q, n, adj, owned, v) is None)
         return verdict
 
     def orient(j) -> None:
@@ -593,7 +583,7 @@ def _search_iteration(args):
         agents = list(range(n))
         rng.shuffle(agents)
         for v in agents:
-            move = _improving_move(p, q, n, adj, buys_masks, v, False)
+            move = _improving_move(p, q, n, adj, buys_masks, v)
             if move is not None:
                 _set_purchases(adj, buys_masks, v, move[0])
                 break
@@ -601,9 +591,7 @@ def _search_iteration(args):
             break
     edges = sum(m.bit_count() for m in adj) // 2
     # A disconnected profile is never Nash: buying every link beats INF.
-    # The exact scan alone gives each agent's verdict: an improving
-    # single-link move is also a set it scans, and a quiet sweep has just
-    # shown there is none.
+    # A quiet sweep has just found no single-link move, so the scan decides.
     if (edges == n - 1 or bfs(adj, 1, (1 << n) - 1) == INF
             or any(_best_deviation(p, q, n, adj, buys_masks, v) is not None
                    for v in range(n))):

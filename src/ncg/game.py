@@ -109,6 +109,30 @@ def _buys_masks(profile: StrategyProfile) -> list:
     return [sum(1 << u for u in s) for s in profile.buys]
 
 
+def _adj_of(buys_masks) -> list:
+    """Neighbour masks of the graph the purchase masks induce."""
+    adj = list(buys_masks)
+    for u, m in enumerate(buys_masks):
+        while m:
+            low = m & -m
+            adj[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    return adj
+
+
+def _check_size(config: GameConfig, profile: StrategyProfile) -> None:
+    """The size check of every public function taking a config and a profile."""
+    if profile.n != config.n:
+        raise ValueError(f"profile has {profile.n} agents but the config has n = {config.n}")
+
+
+def _state(config: GameConfig, profile: StrategyProfile) -> tuple:
+    """(purchase masks, neighbour masks) of a profile of the config's size."""
+    _check_size(config, profile)
+    buys_masks = _buys_masks(profile)
+    return buys_masks, _adj_of(buys_masks)
+
+
 def _mask_to_tuple(mask: int) -> tuple:
     return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
 
@@ -306,11 +330,11 @@ def metrics(rows) -> Metrics:
 
 
 def agent_cost(config: GameConfig, profile: StrategyProfile, v: int) -> CostBreakdown:
+    _, adj = _state(config, profile)
     if not 0 <= v < config.n:
         raise ValueError(f"agent {v} out of range")
-    graph = build_graph(profile)
     creation = config.alpha * len(profile.buys[v])
-    usage = eccentricity(graph.adj, v, graph.n)
+    usage = eccentricity(adj, v, config.n)
     return CostBreakdown(creation=creation, usage=usage, total=creation + usage)
 
 
@@ -321,11 +345,6 @@ def social_cost(config: GameConfig, profile: StrategyProfile):
     twice; the two conventions agree whenever no edge is bought from both
     sides (which holds at every equilibrium).
     """
-    graph = build_graph(profile)
-    usage_total = 0
-    for v in range(graph.n):
-        e = eccentricity(graph.adj, v, graph.n)
-        if e == INF:
-            return INF
-        usage_total += e
-    return config.alpha * profile.purchase_count() + usage_total
+    _, adj = _state(config, profile)
+    return config.alpha * profile.purchase_count() + sum(
+        eccentricity(adj, v, config.n) for v in range(config.n))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotEquilibrium, NotTree, SizeGuard
-from .game import (GameConfig, StrategyProfile, _decode, _mask_to_tuple,
-                   agent_cost, all_pairs_distances, bfs, build_graph, metrics,
-                   social_cost)
+from .game import (GameConfig, StrategyProfile, _check_size, _decode,
+                   _mask_to_tuple, agent_cost, all_pairs_distances, bfs,
+                   build_graph, metrics, social_cost)
 from .equilibrium import _orbit, enumerate_equilibria, is_nash
 from .isomorphism import connected_classes, relabelings
 
@@ -168,6 +168,7 @@ def tree_poa_certificate(config: GameConfig, profile: StrategyProfile) -> TreePo
     diameter <= 2*alpha + 3, social cost below three optima, and the
     add-one-edge deviation from a deepest leaf to a center not improving.
     """
+    _check_size(config, profile)
     graph = build_graph(profile)
     if not graph.is_tree():
         raise NotTree("certificate applies to tree profiles only")

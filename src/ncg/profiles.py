@@ -4,7 +4,7 @@
 
     ncg v1
     n 3
-    alpha 5        # or alpha 19/2
+    alpha 19/2
     buy 0 1
     buy 2 1
 

@@ -22,12 +22,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import contains
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, agent_cost,
-                   all_pairs_distances, ball, bfs, build_graph, distances_from,
-                   eccentricity, metrics)
+from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_size,
+                   agent_cost, all_pairs_distances, ball, bfs, build_graph,
+                   distances_from, eccentricity, metrics)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class MinCycle:
     vertices: tuple  # cyclic order
     length: int
     directed: bool
-    owners: tuple  # owner set per edge (vertices[i], vertices[i+1 mod len])
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class ClosestAssignment:
     """Every vertex mapped to its unique nearest component vertex."""
 
     assignment: tuple
-    component_vertices: frozenset
 
     def s_of(self, v: int) -> frozenset:
         return frozenset(w for w, a in enumerate(self.assignment) if a == v)
@@ -97,7 +94,6 @@ class ShoppingVertexSet:
     """Component vertices buying at least one edge outside the component's
     restriction of the shortest path tree."""
 
-    root: int
     members: frozenset
     edges_by_member: tuple  # sorted (member, (edges...)) pairs
 
@@ -312,13 +308,10 @@ def min_cycle_through_edge(graph: OwnedGraph, e) -> MinCycle | None:
     vertices = tuple(path)  # closing edge (v, u) wraps around
     heads = vertices[1:] + vertices[:1]
     get = graph.owners.get
-    owners = tuple(get((a, b) if a < b else (b, a), frozenset())
-                   for a, b in zip(vertices, heads))
     # Directed: every edge is bought by its tail, read one way or the other.
-    directed = (all(map(contains, owners, vertices))
-                or all(map(contains, owners, heads)))
-    return MinCycle(vertices=vertices, length=len(vertices),
-                    directed=directed, owners=owners)
+    directed = any(all(a in get((a, b) if a < b else (b, a), ()) for a, b in edges)
+                   for edges in (zip(vertices, heads), zip(heads, vertices)))
+    return MinCycle(vertices=vertices, length=len(vertices), directed=directed)
 
 
 def girth(graph: OwnedGraph):
@@ -423,8 +416,7 @@ def closest_assignment(rows, component: BiconnectedComponent) -> ClosestAssignme
             raise AssignmentAmbiguous(
                 f"vertex {w} is equidistant from several component vertices")
         assignment.append(best_h)
-    return ClosestAssignment(assignment=tuple(assignment),
-                             component_vertices=frozenset(component.vertices))
+    return ClosestAssignment(assignment=tuple(assignment))
 
 
 def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree) -> dict:
@@ -456,9 +448,7 @@ def shopping_vertices(profile: StrategyProfile, component: BiconnectedComponent,
             by_member.setdefault(v, []).append((u, v))
     edges_by_member = tuple(sorted(
         (m, tuple(sorted(es))) for m, es in by_member.items()))
-    return ShoppingVertexSet(root=spt.root,
-                             members=frozenset(by_member),
-                             edges_by_member=edges_by_member)
+    return ShoppingVertexSet(members=frozenset(by_member), edges_by_member=edges_by_member)
 
 
 def _lca_and_depths(spt: ShortestPathTree, u1: int, u2: int):
@@ -494,6 +484,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     not have) are marked not applicable; checks that pass with nothing to
     examine are marked vacuous; failures carry concrete witnesses.
     """
+    _check_size(config, profile)
     alpha = config.alpha
     graph = build_graph(profile)
     rows = all_pairs_distances(graph)
@@ -771,6 +762,7 @@ def lemma_crucial_deviation(config: GameConfig, profile: StrategyProfile,
     permit it at all. The resulting usage of ``a`` never exceeds
     the usage of ``b`` plus one.
     """
+    _check_size(config, profile)
     if a == b:
         raise PreconditionUnmet("the two vertices must differ")
     graph = build_graph(profile)

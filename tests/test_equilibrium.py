@@ -13,10 +13,11 @@ import oracles
 from conftest import (ALPHAS, alphas, directed_cycle_profile, profiles_of,
                       random_profile, strategy_profiles)
 from ncg.errors import SizeGuard
-from ncg.game import INF, GameConfig, StrategyProfile, bfs, build_graph, social_cost
+from ncg.game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
+                      _mask_to_tuple, bfs, build_graph, social_cost)
 from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
-                             ProfilePrice, _adj_of, _buys_masks, _class_orbits,
-                             _derive_seed, _improving_move, _mask_to_tuple,
+                             ProfilePrice, _best_deviation, _best_response,
+                             _class_orbits, _derive_seed, _improving_move,
                              _nash_orientations, _parallel_map, _scan_best_response,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
@@ -186,6 +187,11 @@ class TestImprovingMoveHeuristic:
         far = path.with_strategy(0, {1, 3})
         assert oracles.agent_cost(4, Fraction(1, 4), far.buys, 0) == Fraction(5, 2)
 
+    @pytest.mark.parametrize("v", [3, -1])
+    def test_agent_out_of_range(self, v):
+        with pytest.raises(ValueError, match=f"agent {v} out of range for n = 3"):
+            improving_move_heuristic(GameConfig(3, Fraction(5)), directed_cycle_profile(3), v)
+
     @given(strategy_profiles(min_n=2, max_n=5), alphas)
     @settings(max_examples=60, deadline=None)
     def test_sound_for_is_nash(self, profile, alpha):
@@ -226,8 +232,34 @@ def _single_link_moves(n, buys, v):
     yield from ((set(buys[v]) - {u}) | {w} for u in owned for w in missing)
 
 
+class TestBestResponsePrimitive:
+    """_best_response, the one exact per-agent primitive, against the oracle."""
+
+    @given(_cut_profiles(min_n=1, max_n=9),
+           st.fractions(min_value=Fraction(1, 8), max_value=30, max_denominator=12))
+    @example(StrategyProfile.empty(1), Fraction(1, 8))
+    @example(StrategyProfile.empty(1), Fraction(30))
+    @example(_CUT_OFF_7, Fraction(2))   # agent 0 is cut off: cur is INF
+    @example(_CUT_OFF_7, Fraction(19, 2))
+    @example(directed_cycle_profile(9), Fraction(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle(self, profile, alpha):
+        n, buys = profile.n, profile.buys
+        buys_masks = _buys_masks(profile)
+        adj = build_graph(profile).adj
+        p, q = alpha.numerator, alpha.denominator
+        for v in range(n):
+            cur, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+            # The current cost, scaled by alpha's denominator; INF stays INF.
+            assert cur == oracles.agent_cost(n, alpha, buys, v) * q
+            # The oracle's first cheapest set in (size, lex) order.
+            assert k == mask.bit_count()
+            assert (_mask_to_tuple(mask), alpha * k + e) == oracles.best_response(n, alpha, buys, v)
+
+
 class TestImprovingMoveDecider:
-    """The one per-agent decider against brute-force pricing in oracles."""
+    """The single-link decider and the composed content verdict against
+    brute-force pricing in oracles."""
 
     @given(strategy_profiles(max_n=6), alphas)
     @example(StrategyProfile.from_sets([set(), {2}, set()]), Fraction(5))   # 0 isolated
@@ -251,9 +283,16 @@ class TestImprovingMoveDecider:
         _check_improving_move(profile, alpha)
 
 
+def _content(p, q, n, adj, buys_masks, v) -> bool:
+    """The exact content verdict: no single-link move, then no move at all."""
+    return (_improving_move(p, q, n, adj, buys_masks, v) is None
+            and _best_deviation(p, q, n, adj, buys_masks, v) is None)
+
+
 def _check_improving_move(profile, alpha):
-    """The first improving single-link move and the exact decision of
-    _improving_move, for every agent, priced by the oracle."""
+    """The first improving single-link move of _improving_move, the
+    cheapest improving set of _best_deviation and the content verdict they
+    compose, for every agent, priced by the oracle."""
     n, buys = profile.n, profile.buys
     buys_masks = _buys_masks(profile)
     adj = build_graph(profile).adj
@@ -268,13 +307,12 @@ def _check_improving_move(profile, alpha):
         current = oracles.agent_cost(n, alpha, buys, v)
         first = next((s for s in _single_link_moves(n, buys, v)
                       if cost_with(v, s) < current), None)
-        single = _improving_move(p, q, n, adj, buys_masks, v, False)
-        exact = _improving_move(p, q, n, adj, buys_masks, v, True)
-        assert (exact is None) == (oracles.best_cost(n, alpha, buys, v) >= current)
+        single = _improving_move(p, q, n, adj, buys_masks, v)
+        best = _best_deviation(p, q, n, adj, buys_masks, v)
+        assert _content(p, q, n, adj, buys_masks, v) == (
+            oracles.best_cost(n, alpha, buys, v) >= current)
         assert (None if single is None else set(_mask_to_tuple(single[0]))) == first
-        if first is not None:
-            assert exact == single  # the exact decider tries single links first
-        for move in (single, exact):
+        for move in (single, best):
             if move is not None:
                 mask, k, e = move
                 assert k == mask.bit_count()
@@ -456,12 +494,11 @@ def _decode_ownership(code_int: int, n: int, pairs) -> tuple:
 
 
 def _profile_is_nash_masks(p, q, n, adj, buys_masks) -> bool:
-    """Exact Nash decision on mask-level state: connected, and the exact
-    decider finds no agent an improving move."""
+    """Exact Nash decision on mask-level state: connected, and every agent
+    content."""
     if bfs(adj, 1, (1 << n) - 1) == INF:
         return False  # disconnected: buying every link is always better than INF
-    return all(_improving_move(p, q, n, adj, buys_masks, v, True) is None
-               for v in range(n))
+    return all(_content(p, q, n, adj, buys_masks, v) for v in range(n))
 
 
 def _state_walk_codes(n, alpha):
@@ -529,17 +566,23 @@ class TestGraphFirstEnumeration:
     @settings(max_examples=80, deadline=None)
     def test_decider_reads_only_the_agents_own_purchases(self, buys_masks, alpha, v, kept):
         # The content table rests on this: under single ownership, v's
-        # verdict is the same with any other agents' purchases cleared,
-        # such as those of edges the backtracking has not assigned yet.
+        # verdict, and both moves it is composed of, are the same with any
+        # other agents' purchases cleared, such as those of edges the
+        # backtracking has not assigned yet.
         n = len(buys_masks)
         v %= n
         adj = _adj_of(buys_masks)
         only_v = [m if u == v else 0 for u, m in enumerate(buys_masks)]
         partial = [m if u == v or u in kept else 0 for u, m in enumerate(buys_masks)]
         p, q = alpha.numerator, alpha.denominator
-        full = _improving_move(p, q, n, adj, buys_masks, v, True)
-        assert _improving_move(p, q, n, adj, only_v, v, True) == full
-        assert _improving_move(p, q, n, adj, partial, v, True) == full
+
+        def verdict(masks):
+            return (_content(p, q, n, adj, masks, v), _improving_move(p, q, n, adj, masks, v),
+                    _best_deviation(p, q, n, adj, masks, v))
+
+        full = verdict(buys_masks)
+        assert verdict(only_v) == full
+        assert verdict(partial) == full
 
 
 def _labeled_walk(args):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncg
 import oracles
 from conftest import alphas, strategy_profiles
 from ncg.errors import SizeGuard
@@ -243,3 +244,42 @@ class TestCosts:
         for v in range(profile.n):
             assert agent_cost(cfg, profile, v).total == oracles.agent_cost(
                 profile.n, alpha, profile.buys, v)
+
+
+# Agent 0 owns the first link of a 4-path; every link is bought by its lower end.
+_PATH_4 = StrategyProfile.from_sets([{1}, {2}, {3}, set()])
+_DROP_TO_2 = ncg.DeviationWitness(0, (1,), (2,), Fraction(33), Fraction(32))
+
+# Every public function that takes a GameConfig and a StrategyProfile.
+_CONFIG_PROFILE_CALLS = {
+    "agent_cost": lambda cfg, p: ncg.agent_cost(cfg, p, 0),
+    "social_cost": ncg.social_cost,
+    "is_nash": ncg.is_nash,
+    "best_response_exact": lambda cfg, p: ncg.best_response_exact(cfg, p, 0),
+    "improving_move_heuristic": lambda cfg, p: ncg.improving_move_heuristic(cfg, p, 0),
+    "best_response_dynamics": ncg.best_response_dynamics,
+    "verify_witness": lambda cfg, p: ncg.verify_witness(cfg, p, _DROP_TO_2),
+    "audit_equilibrium_structure": ncg.audit_equilibrium_structure,
+    "lemma_crucial_deviation": lambda cfg, p: ncg.lemma_crucial_deviation(cfg, p, 0, 2),
+    "tree_poa_certificate": ncg.tree_poa_certificate,
+}
+
+
+class TestProfileSizeChecked:
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("name", sorted(_CONFIG_PROFILE_CALLS))
+    def test_size_mismatch_raises(self, name, n):
+        # One message from the one check, before any work on the profile.
+        with pytest.raises(ValueError, match="profile has 4 agents but the config has n = "):
+            _CONFIG_PROFILE_CALLS[name](GameConfig(n, Fraction(30)), _PATH_4)
+
+    @pytest.mark.parametrize("name", sorted(_CONFIG_PROFILE_CALLS))
+    def test_matching_size_accepted(self, name):
+        # The same calls go through at n = 4; the path is a tree but no
+        # equilibrium at alpha 30, so the certificate refuses it by name.
+        call = _CONFIG_PROFILE_CALLS[name]
+        if name == "tree_poa_certificate":
+            with pytest.raises(ncg.NotEquilibrium):
+                call(GameConfig(4, Fraction(30)), _PATH_4)
+        else:
+            call(GameConfig(4, Fraction(30)), _PATH_4)

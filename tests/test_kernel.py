@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import strategy_profiles
-from ncg.game import INF, StrategyProfile, ball, bfs, build_graph
-from ncg.equilibrium import _adj_of, _base_adj, _buys_masks, _set_purchases
+from ncg.game import INF, StrategyProfile, _adj_of, _buys_masks, ball, bfs, build_graph
+from ncg.equilibrium import _base_adj, _set_purchases
 from ncg.structure import shortest_path_tree
 
 

@@ -1,8 +1,10 @@
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+import ncg.profiles
 from conftest import alphas, strategy_profiles
 from ncg.errors import (BadHeader, BadRational, BadVertexIndex, DuplicateBuy,
                         SizeGuard)
@@ -65,3 +67,11 @@ def test_agent_count_bound_before_buy_lines():
     # the purchase sets are read can raise SizeGuard here.
     with pytest.raises(SizeGuard):
         parse_profile(f"ncg v1\nn {MAX_AGENTS + 1}\nalpha 1\nbuy 0 {MAX_AGENTS + 5}\n")
+
+
+def test_module_docstring_example_parses():
+    # The example block that follows "::" in the module docstring.
+    block = ncg.profiles.__doc__.split("::", 1)[1].split("\n\n")[1]
+    cfg, profile = parse_profile(textwrap.dedent(block))
+    assert cfg == GameConfig(3, Fraction(19, 2))
+    assert profile == StrategyProfile.from_sets([{1}, set(), {1}])
