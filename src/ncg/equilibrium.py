@@ -1,11 +1,16 @@
 """Exact equilibrium verification, enumeration, dynamics, and search.
 
 Every exact per-agent decision reads one primitive, _best_response: the
-agent's current cost and its cheapest purchase set, found by scanning all
-2^(n-1) purchase sets, so results are exact but only feasible at desk
-scale (guarded). Each candidate's BFS stops as soon as the candidate can
-no longer beat the best cost so far. Costs compare as integers derived
+agent's cheapest purchase set, found by scanning all 2^(n-1) purchase
+sets, so results are exact but only feasible at desk scale (guarded).
+Each candidate's BFS stops as soon as the candidate can no longer beat
+the best cost so far. Costs compare as integers derived
 from the exact rational alpha, never floats.
+
+Every per-agent decision starts from one _agent_view, the agent's
+current cost and the adjacency without its purchases. Enumeration's
+content verdict, one per (vertex, owned set), reads both the single-link
+filter and the scan off the same view.
 
 The single-link decider (drop, buy or swap one link) is a cheap filter
 for search's descent and enumeration's content check. A buy or swap is
@@ -25,8 +30,8 @@ from itertools import combinations
 
 from .errors import SizeGuard
 from .game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
-                   _check_size, _decode, _digit_table, _encode, _mask_to_tuple,
-                   _state, agent_cost, ball, bfs, eccentricity)
+                   _check_agent, _check_size, _decode, _digit_table, _encode,
+                   _mask_to_tuple, _state, agent_cost, ball, bfs, eccentricity)
 from .isomorphism import connected_classes, relabelings
 
 BEST_RESPONSE_MAX_N = 20
@@ -213,11 +218,13 @@ def _cover_winners(base_adj, sources: int, hops: int, n: int, cands: int, balls:
     return cands
 
 
-def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int):
-    """First strictly improving single-link move of v, as (mask, k, e), or
-    None, which does not rule out a multi-link move; alpha = p/q as in
-    _scan_best_response. Drops of owned links come first, then buys of
-    missing links, then (drop, buy) swaps, in ascending index order.
+def _improving_move(p: int, q: int, n: int, v: int, cur_mask: int, cur_scaled, base):
+    """First strictly improving single-link move of v, which owns
+    ``cur_mask`` and has _agent_view's (``cur_scaled``, ``base``), as
+    (mask, k, e), or None, which does not rule out a multi-link move;
+    alpha = p/q as in _scan_best_response. Drops of owned links come first,
+    then buys of missing links, then (drop, buy) swaps, in ascending index
+    order.
 
     Each group has a usage limit its moves must stay within to win, and v
     with its first ring, being one hop short of v's usage, is the BFS
@@ -227,11 +234,7 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int):
     priced by one exact BFS. Swaps share their balls across drops.
     """
     full = (1 << n) - 1
-    cur_mask = buys_masks[v]
     cur_k = cur_mask.bit_count()
-    # INF when v is cut off, and then every move that reconnects it wins.
-    cur_scaled = p * cur_k + q * bfs(adj, 1 << v, full)
-    base = _base_adj(adj, buys_masks, v)
     ring = base[v] | 1 << v
     hops = _usage_limit(p, q, cur_k - 1, cur_scaled) - 1
     drops = cur_mask if hops >= 0 else 0
@@ -242,7 +245,7 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int):
         if p * (cur_k - 1) + q * e < cur_scaled:
             return cur_mask ^ low, cur_k - 1, e
     # Buying a link to an already-adjacent vertex only wastes alpha.
-    missing = full & ~(1 << v) & ~adj[v]
+    missing = full & ~ring & ~cur_mask
     hops = _usage_limit(p, q, cur_k + 1, cur_scaled) - 1
     if missing and hops >= 0:
         won = _cover_winners(base, ring | cur_mask, hops, n, missing, {})
@@ -264,20 +267,35 @@ def _improving_move(p: int, q: int, n: int, adj, buys_masks, v: int):
     return None
 
 
-def _best_response(p: int, q: int, n: int, adj, buys_masks, v: int):
-    """(cur, (mask, k, e)): v's current scaled cost (INF when v is cut off)
-    and its (size, lex)-first cheapest purchase set, scaled as in
-    _scan_best_response. The bound cur + 1 admits v's own set, so a set
-    always comes back; it improves on v's set exactly when p*k + q*e < cur.
-    """
+def _agent_view(p: int, q: int, n: int, adj, buys_masks, v: int) -> tuple:
+    """(cur, base): v's current scaled cost p*k + q*e, INF when v is cut off
+    (then every move that reconnects it wins), and _base_adj. Every
+    per-agent decision starts from these, built once."""
     cur = p * buys_masks[v].bit_count() + q * bfs(adj, 1 << v, (1 << n) - 1)
-    return cur, _scan_best_response(p, q, _base_adj(adj, buys_masks, v), v, n, cur + 1)
+    return cur, _base_adj(adj, buys_masks, v)
 
 
-def _best_deviation(p: int, q: int, n: int, adj, buys_masks, v: int):
+def _best_response(p: int, q: int, n: int, v: int, cur, base):
+    """(mask, k, e): v's (size, lex)-first cheapest purchase set, scaled as
+    in _scan_best_response, from _agent_view's (``cur``, ``base``). The
+    bound cur + 1 admits v's own set, so a set always comes back; it
+    improves on v's set exactly when p*k + q*e < cur.
+    """
+    return _scan_best_response(p, q, base, v, n, cur + 1)
+
+
+def _best_deviation(p: int, q: int, n: int, v: int, cur, base):
     """v's cheapest strictly improving set as (mask, k, e), or None at best response."""
-    cur, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+    mask, k, e = _best_response(p, q, n, v, cur, base)
     return (mask, k, e) if p * k + q * e < cur else None
+
+
+def _content(p: int, q: int, n: int, adj, buys_masks, v: int) -> bool:
+    """True when v has no strictly improving move: no single-link move,
+    then no set at all, both read off one _agent_view."""
+    cur, base = _agent_view(p, q, n, adj, buys_masks, v)
+    return (_improving_move(p, q, n, v, buys_masks[v], cur, base) is None
+            and _best_deviation(p, q, n, v, cur, base) is None)
 
 
 def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
@@ -288,10 +306,9 @@ def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
     """
     buys_masks, adj = _state(config, profile)
     n = config.n
-    if not 0 <= v < n:
-        raise ValueError(f"agent {v} out of range for n = {n}")
+    _check_agent(n, v)
     p, q = config.alpha.numerator, config.alpha.denominator
-    _, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+    mask, k, e = _best_response(p, q, n, v, *_agent_view(p, q, n, adj, buys_masks, v))
     return _mask_to_tuple(mask), config.alpha * k + e
 
 
@@ -302,7 +319,8 @@ def is_nash(config: GameConfig, profile: StrategyProfile) -> EquilibriumReport:
     p, q = config.alpha.numerator, config.alpha.denominator
     best = []
     for v in range(n):
-        cur, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+        cur, base = _agent_view(p, q, n, adj, buys_masks, v)
+        mask, k, e = _best_response(p, q, n, v, cur, base)
         if p * k + q * e < cur:
             old = config.alpha * len(profile.buys[v]) + eccentricity(adj, v, n)
             witness = DeviationWitness(v, profile.buys[v], _mask_to_tuple(mask),
@@ -316,6 +334,7 @@ def verify_witness(config: GameConfig, profile: StrategyProfile,
                    witness: DeviationWitness) -> bool:
     """Recompute both costs from scratch and confirm the strict improvement."""
     _check_size(config, profile)
+    _check_agent(config.n, witness.agent)
     if profile.buys[witness.agent] != tuple(witness.old_strategy):
         return False
     deviated = profile.with_strategy(witness.agent, witness.new_strategy)
@@ -333,10 +352,10 @@ def improving_move_heuristic(config: GameConfig, profile: StrategyProfile,
     """
     buys_masks, adj = _state(config, profile)
     n = config.n
-    if not 0 <= v < n:
-        raise ValueError(f"agent {v} out of range for n = {n}")
+    _check_agent(n, v)
     p, q = config.alpha.numerator, config.alpha.denominator
-    move = _improving_move(p, q, n, adj, buys_masks, v)
+    move = _improving_move(p, q, n, v, buys_masks[v],
+                           *_agent_view(p, q, n, adj, buys_masks, v))
     if move is None:
         return None
     mask, k, e = move
@@ -374,7 +393,7 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
     for _ in range(budget):
         agent = rng.randrange(n) if rng is not None else position % n
         position += 1
-        move = _best_deviation(p, q, n, adj, buys_masks, agent)
+        move = _best_deviation(p, q, n, agent, *_agent_view(p, q, n, adj, buys_masks, agent))
         if move is not None:
             mask, k, e = move
             cur = alpha * buys_masks[agent].bit_count() + eccentricity(adj, agent, n)
@@ -448,8 +467,7 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
         verdict = table.get(owned[v])
         if verdict is None:
             checks += 1
-            verdict = table[owned[v]] = (_improving_move(p, q, n, adj, owned, v) is None
-                                         and _best_deviation(p, q, n, adj, owned, v) is None)
+            verdict = table[owned[v]] = _content(p, q, n, adj, owned, v)
         return verdict
 
     def orient(j) -> None:
@@ -471,10 +489,11 @@ def _nash_orientations(p: int, q: int, n: int, adj, edges, found) -> tuple:
     return checks, tried
 
 
-def _class_orbits(n: int, alpha: Fraction) -> tuple:
+def _class_orbits(n: int, alpha: Fraction, classes) -> tuple:
     """(orbits, stats): every labeled single-ownership equilibrium on n
-    vertices, grouped into profile classes in class order, each as a
-    (sorted labeled codes, price) pair; no size guard.
+    vertices, grouped into profile classes in the order of ``classes``
+    (connected_classes(n)), each as a (sorted labeled codes, price) pair;
+    no size guard.
 
     A class's labeled members are its representative's images under all n!
     relabelings. Nash-ness is invariant under relabeling, so the labeled
@@ -483,7 +502,6 @@ def _class_orbits(n: int, alpha: Fraction) -> tuple:
     """
     p, q = alpha.numerator, alpha.denominator
     perms = relabelings(n)
-    classes = connected_classes(n)
     orbits = []
     checks = tried = 0
     for adj in classes:
@@ -503,7 +521,12 @@ def _class_orbits(n: int, alpha: Fraction) -> tuple:
     return orbits, EnumerationStats(len(classes), checks, tried, len(orbits) * len(perms))
 
 
-def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
+def _check_enumeration_size(n: int) -> None:
+    if n > ENUMERATION_MAX_N:
+        raise SizeGuard(f"exhaustive enumeration needs n <= {ENUMERATION_MAX_N}, got {n}")
+
+
+def enumerate_equilibria(config: GameConfig, classes=None) -> EnumerationResult:
     """All Nash equilibria over single-ownership profiles (exact, exhaustive).
 
     The generator visits one representative per isomorphism class of
@@ -518,11 +541,14 @@ def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
     (checked separately in the test suite). The result carries the
     labeled equilibria as ownership codes, sorted, with ``prices`` parallel
     to them; no profile is built. The work runs in this process.
+    ``classes`` is ``connected_classes(config.n)`` for a caller that holds
+    it already; it is built here otherwise.
     """
     n = config.n
-    if n > ENUMERATION_MAX_N:
-        raise SizeGuard(f"exhaustive enumeration needs n <= {ENUMERATION_MAX_N}, got {n}")
-    orbits, stats = _class_orbits(n, config.alpha)
+    _check_enumeration_size(n)
+    if classes is None:
+        classes = connected_classes(n)
+    orbits, stats = _class_orbits(n, config.alpha, classes)
     labeled = sorted((code, price) for codes, price in orbits for code in codes)
     costs = [price.social_cost for _, price in orbits]
     tree_count = sum(len(codes) for codes, price in orbits if price.is_tree)
@@ -579,11 +605,15 @@ def _search_iteration(args):
     buys_masks = _random_buys_masks(rng, n)
     adj = _adj_of(buys_masks)
     p, q = alpha.numerator, alpha.denominator
+    full = (1 << n) - 1
     for _ in range(4 * n * n):
         agents = list(range(n))
         rng.shuffle(agents)
         for v in agents:
-            move = _improving_move(p, q, n, adj, buys_masks, v)
+            # _agent_view inlined: this is the hottest loop of search.
+            mask = buys_masks[v]
+            cur = p * mask.bit_count() + q * bfs(adj, 1 << v, full)
+            move = _improving_move(p, q, n, v, mask, cur, _base_adj(adj, buys_masks, v))
             if move is not None:
                 _set_purchases(adj, buys_masks, v, move[0])
                 break
@@ -592,9 +622,9 @@ def _search_iteration(args):
     edges = sum(m.bit_count() for m in adj) // 2
     # A disconnected profile is never Nash: buying every link beats INF.
     # A quiet sweep has just found no single-link move, so the scan decides.
-    if (edges == n - 1 or bfs(adj, 1, (1 << n) - 1) == INF
-            or any(_best_deviation(p, q, n, adj, buys_masks, v) is not None
-                   for v in range(n))):
+    if (edges == n - 1 or bfs(adj, 1, full) == INF
+            or any(_best_deviation(p, q, n, v, *_agent_view(p, q, n, adj, buys_masks, v))
+                   is not None for v in range(n))):
         return None  # a tree, disconnected, or not an equilibrium
     return _encode(buys_masks), _price(alpha, n, adj, buys_masks)
 

@@ -126,6 +126,11 @@ def _check_size(config: GameConfig, profile: StrategyProfile) -> None:
         raise ValueError(f"profile has {profile.n} agents but the config has n = {config.n}")
 
 
+def _check_agent(n: int, v: int) -> None:
+    if not 0 <= v < n:
+        raise ValueError(f"agent {v} out of range for n = {n}")
+
+
 def _state(config: GameConfig, profile: StrategyProfile) -> tuple:
     """(purchase masks, neighbour masks) of a profile of the config's size."""
     _check_size(config, profile)
@@ -331,8 +336,7 @@ def metrics(rows) -> Metrics:
 
 def agent_cost(config: GameConfig, profile: StrategyProfile, v: int) -> CostBreakdown:
     _, adj = _state(config, profile)
-    if not 0 <= v < config.n:
-        raise ValueError(f"agent {v} out of range")
+    _check_agent(config.n, v)
     creation = config.alpha * len(profile.buys[v])
     usage = eccentricity(adj, v, config.n)
     return CostBreakdown(creation=creation, usage=usage, total=creation + usage)

@@ -11,6 +11,12 @@ the partition, so only one per cell is individualised. Every step
 depends on cell order and neighbour counts, never on vertex labels, so
 isomorphic graphs get the same form.
 
+The search also collects automorphisms: two leaves with equal relabeled
+adjacency differ by one, and so do twins. The connected classes on n
+vertices grow each class on n - 1 vertices by one new vertex, with one
+neighbour set per orbit of those automorphisms; a global set of
+canonical forms drops the remaining duplicates.
+
 The package's enumeration and brute-force optimum run on these classes
 rather than on every labeled graph; nothing here is built at import.
 """
@@ -20,33 +26,53 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 
-def _refine(adj, cells: list) -> list:
+def _refine(adj, cells: list, quiet: set) -> list:
     """Split cells (vertex masks, in order) by neighbour counts into each
-    cell until the partition is equitable; smaller counts go first."""
-    changed = True
-    while changed:
-        changed = False
-        for splitter in cells:
+    cell until the partition is equitable; smaller counts go first, and
+    after each split the splitters are taken from the first cell again.
+
+    ``quiet`` holds masks known to split no cell. A finer partition keeps
+    them so, so skipping them leaves the result as it was; it gains every
+    splitter that splits nothing, so the search hands it down the tree.
+    The counts into a splitter are bit-sliced: bit j of every vertex's
+    count sits in ``planes[j]``, so cells split by the planes from the
+    highest down, the zeros of each before its ones."""
+    i = 0
+    big = [cell for cell in cells if cell & (cell - 1)]
+    while i < len(cells) and big:
+        splitter = cells[i]
+        i += 1
+        if splitter in quiet:
+            continue
+        planes = []
+        m = splitter
+        while m:
+            low = m & -m
+            m ^= low
+            carry = adj[low.bit_length() - 1]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        if not any(0 != cell & plane != cell for plane in planes for cell in big):
+            quiet.add(splitter)
+            continue
+        for plane in reversed(planes):
             split = []
             for cell in cells:
-                if not cell & (cell - 1):
-                    split.append(cell)
-                    continue
-                groups = {}
-                m = cell
-                while m:
-                    low = m & -m
-                    m ^= low
-                    k = (adj[low.bit_length() - 1] & splitter).bit_count()
-                    groups[k] = groups.get(k, 0) | low
-                if len(groups) > 1:
-                    changed = True
-                    split.extend(groups[k] for k in sorted(groups))
+                ones = cell & plane
+                if ones and ones != cell:
+                    split.append(cell ^ ones)
+                    split.append(ones)
                 else:
                     split.append(cell)
-            if changed:
-                cells = split
-                break
+            cells = split
+        big = [cell for cell in cells if cell & (cell - 1)]
+        i = 0
     return cells
 
 
@@ -67,22 +93,32 @@ def _relabeled(adj, order) -> tuple:
     return tuple(out)
 
 
-def canonical_graph(adj) -> tuple:
-    """Adjacency of the canonical relabeling of ``adj``, the smallest
-    relabeled adjacency tuple over the leaves: equal for isomorphic graphs,
-    different otherwise."""
-    best = None
+def _canonical_search(adj) -> tuple:
+    """(form, generators): the canonical form of canonical_graph and the
+    automorphisms of ``adj`` met on the way, each a tuple g mapping vertex
+    u to g[u]. Two leaves with equal relabeled adjacency give one, and each
+    twin left untried gives its transposition; together they generate a
+    subgroup of Aut(adj), which may be trivial when the group is not."""
+    n = len(adj)
+    best = best_order = None
+    generators = set()
 
-    def search(cells):
-        nonlocal best
-        cells = _refine(adj, cells)
+    def search(cells, quiet):
+        nonlocal best, best_order
+        cells = _refine(adj, cells, quiet)
         for i, cell in enumerate(cells):
             if cell & (cell - 1):
                 break
         else:
-            relabeled = _relabeled(adj, [c.bit_length() - 1 for c in cells])
+            order = [c.bit_length() - 1 for c in cells]
+            relabeled = _relabeled(adj, order)
             if best is None or relabeled < best:
-                best = relabeled
+                best, best_order = relabeled, order
+            elif relabeled == best:
+                g = [0] * n
+                for u, w in zip(best_order, order):
+                    g[u] = w
+                generators.add(tuple(g))
             return
         tried = []
         m = cell
@@ -90,13 +126,50 @@ def canonical_graph(adj) -> tuple:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            if any(adj[v] & ~(1 << u) == adj[u] & ~low for u in tried):
-                continue  # a twin of a tried vertex gives the same leaves
+            twin = next((u for u in tried if adj[v] & ~(1 << u) == adj[u] & ~low), None)
+            if twin is not None:  # swapping twins fixes adj and gives the same leaves
+                g = list(range(n))
+                g[v], g[twin] = twin, v
+                generators.add(tuple(g))
+                continue
             tried.append(v)
-            search(cells[:i] + [low, cell ^ low] + cells[i + 1:])
+            search(cells[:i] + [low, cell ^ low] + cells[i + 1:], set(quiet))
 
-    search([(1 << len(adj)) - 1])
-    return best
+    search([(1 << n) - 1], set())
+    return best, generators
+
+
+def canonical_graph(adj) -> tuple:
+    """Adjacency of the canonical relabeling of ``adj``, the smallest
+    relabeled adjacency tuple over the leaves: equal for isomorphic graphs,
+    different otherwise."""
+    return _canonical_search(adj)[0]
+
+
+def _subset_orbits(generators, n: int):
+    """Yield the least member of each orbit of the group ``generators``
+    generate on the nonempty vertex subsets of n vertices, in ascending
+    order."""
+    images = []
+    for g in generators:
+        image = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        orbit = [s]
+        for t in orbit:
+            for image in images:
+                u = image[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    orbit.append(u)
+        yield s
 
 
 def connected_classes(n: int) -> list:
@@ -106,7 +179,10 @@ def connected_classes(n: int) -> list:
     Every connected graph with n >= 2 vertices has a vertex whose removal
     leaves it connected (a leaf of a spanning tree), so adding a vertex
     with every nonempty neighbour set to each class on n - 1 vertices
-    reaches every class; the canonical form removes the duplicates.
+    reaches every class; the canonical form removes the duplicates. An
+    automorphism of the class maps one neighbour set onto another with an
+    isomorphic result, so one set per orbit of the automorphisms that the
+    class's own canonical search finds is enough.
     """
     if n < 1:
         return []
@@ -115,7 +191,7 @@ def connected_classes(n: int) -> list:
         forms = set()
         new = 1 << (size - 1)
         for adj in classes:
-            for nbrs in range(1, new):
+            for nbrs in _subset_orbits(_canonical_search(adj)[1], size - 1):
                 grown = [row | new if nbrs >> v & 1 else row for v, row in enumerate(adj)]
                 grown.append(nbrs)
                 forms.add(canonical_graph(grown))

@@ -15,7 +15,8 @@ from .errors import NotEquilibrium, NotTree, SizeGuard
 from .game import (GameConfig, StrategyProfile, _check_size, _decode,
                    _mask_to_tuple, agent_cost, all_pairs_distances, bfs,
                    build_graph, metrics, social_cost)
-from .equilibrium import _orbit, enumerate_equilibria, is_nash
+from .equilibrium import (_check_enumeration_size, _orbit, enumerate_equilibria,
+                          is_nash)
 from .isomorphism import connected_classes, relabelings
 
 OPTIMUM_BRUTEFORCE_MAX_N = 6
@@ -91,7 +92,7 @@ def optimum_analytic(config: GameConfig) -> OptimumResult:
     return OptimumResult(cost=clique_cost, witness=clique_profile(n), method="analytic")
 
 
-def optimum_bruteforce(config: GameConfig) -> OptimumResult:
+def optimum_bruteforce(config: GameConfig, classes=None) -> OptimumResult:
     """Exact minimum of social cost over every graph on n vertices.
 
     Who owns an edge never changes the social cost, and neither does a
@@ -100,6 +101,8 @@ def optimum_bruteforce(config: GameConfig) -> OptimumResult:
     costs INF). The witness is the labeled copy of an optimal class with
     the smallest edge bitmask, bit i for the i-th vertex pair in
     lexicographic order; the smaller endpoint pays for each edge.
+    ``classes`` is ``connected_classes(config.n)`` for a caller that holds
+    it already; it is built here otherwise.
     """
     n = config.n
     if n > OPTIMUM_BRUTEFORCE_MAX_N:
@@ -107,7 +110,7 @@ def optimum_bruteforce(config: GameConfig) -> OptimumResult:
             f"brute-force optimum needs n <= {OPTIMUM_BRUTEFORCE_MAX_N}, got {n}")
     full = (1 << n) - 1
     best_cost, optimal = None, []
-    for adj in connected_classes(n):
+    for adj in connected_classes(n) if classes is None else classes:
         edge_count = sum(m.bit_count() for m in adj) // 2
         cost = config.alpha * edge_count + sum(bfs(adj, 1 << v, full) for v in range(n))
         if best_cost is None or cost < best_cost:
@@ -131,20 +134,23 @@ def price_of_anarchy(config: GameConfig, prices=None) -> PoAReport:
     ``prices`` are the ``ProfilePrice`` records of the equilibria to
     consider, as ``EnumerationResult.prices`` holds them. Without them this
     enumerates exhaustively (and cross-checks the closed-form optimum
-    against brute force). When no equilibrium exists the ratio is reported
+    against brute force); both read one list of connected classes, built
+    after the size guard. When no equilibrium exists the ratio is reported
     as undefined (None), never as 0 or infinity.
     """
     exhaustive = prices is None
     if exhaustive:
+        _check_enumeration_size(config.n)
+        classes = connected_classes(config.n)
         # Priced once per isomorphism class by the enumeration.
-        result = enumerate_equilibria(config)
+        result = enumerate_equilibria(config, classes)
         worst, considered = result.worst_cost, len(result.codes)
     else:
         worst = max((p.social_cost for p in prices), default=None)
         considered = len(prices)
     opt = optimum_analytic(config)
     if exhaustive and config.n <= OPTIMUM_BRUTEFORCE_MAX_N:
-        brute = optimum_bruteforce(config)
+        brute = optimum_bruteforce(config, classes)
         if brute.cost != opt.cost:
             raise AssertionError(
                 f"optimum mismatch: analytic {opt.cost} vs brute force {brute.cost}")

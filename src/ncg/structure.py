@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_size,
-                   agent_cost, all_pairs_distances, ball, bfs, build_graph,
-                   distances_from, eccentricity, metrics)
+from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_agent,
+                   _check_size, agent_cost, all_pairs_distances, ball, bfs,
+                   build_graph, distances_from, eccentricity, metrics)
 
 
 @dataclass(frozen=True)
@@ -763,6 +763,8 @@ def lemma_crucial_deviation(config: GameConfig, profile: StrategyProfile,
     the usage of ``b`` plus one.
     """
     _check_size(config, profile)
+    _check_agent(config.n, a)
+    _check_agent(config.n, b)
     if a == b:
         raise PreconditionUnmet("the two vertices must differ")
     graph = build_graph(profile)

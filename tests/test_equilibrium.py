@@ -12,17 +12,20 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (ALPHAS, alphas, directed_cycle_profile, profiles_of,
                       random_profile, strategy_profiles)
+from ncg import equilibrium
 from ncg.errors import SizeGuard
 from ncg.game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
                       _mask_to_tuple, bfs, build_graph, social_cost)
 from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
-                             ProfilePrice, _best_deviation, _best_response,
-                             _class_orbits, _derive_seed, _improving_move,
+                             ProfilePrice, _agent_view, _best_deviation,
+                             _best_response, _class_orbits, _content,
+                             _derive_seed, _improving_move,
                              _nash_orientations, _parallel_map, _scan_best_response,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
                              search_nontree_equilibria, verify_witness)
+from ncg.isomorphism import connected_classes
 
 
 # Agent 0 owns the first link of an 8-path; every link is bought by its
@@ -249,7 +252,8 @@ class TestBestResponsePrimitive:
         adj = build_graph(profile).adj
         p, q = alpha.numerator, alpha.denominator
         for v in range(n):
-            cur, (mask, k, e) = _best_response(p, q, n, adj, buys_masks, v)
+            cur, base = _agent_view(p, q, n, adj, buys_masks, v)
+            mask, k, e = _best_response(p, q, n, v, cur, base)
             # The current cost, scaled by alpha's denominator; INF stays INF.
             assert cur == oracles.agent_cost(n, alpha, buys, v) * q
             # The oracle's first cheapest set in (size, lex) order.
@@ -283,10 +287,11 @@ class TestImprovingMoveDecider:
         _check_improving_move(profile, alpha)
 
 
-def _content(p, q, n, adj, buys_masks, v) -> bool:
-    """The exact content verdict: no single-link move, then no move at all."""
-    return (_improving_move(p, q, n, adj, buys_masks, v) is None
-            and _best_deviation(p, q, n, adj, buys_masks, v) is None)
+def _moves(p, q, n, adj, buys_masks, v) -> tuple:
+    """v's first improving single-link move and cheapest improving set."""
+    cur, base = _agent_view(p, q, n, adj, buys_masks, v)
+    return (_improving_move(p, q, n, v, buys_masks[v], cur, base),
+            _best_deviation(p, q, n, v, cur, base))
 
 
 def _check_improving_move(profile, alpha):
@@ -307,8 +312,7 @@ def _check_improving_move(profile, alpha):
         current = oracles.agent_cost(n, alpha, buys, v)
         first = next((s for s in _single_link_moves(n, buys, v)
                       if cost_with(v, s) < current), None)
-        single = _improving_move(p, q, n, adj, buys_masks, v)
-        best = _best_deviation(p, q, n, adj, buys_masks, v)
+        single, best = _moves(p, q, n, adj, buys_masks, v)
         assert _content(p, q, n, adj, buys_masks, v) == (
             oracles.best_cost(n, alpha, buys, v) >= current)
         assert (None if single is None else set(_mask_to_tuple(single[0]))) == first
@@ -577,8 +581,7 @@ class TestGraphFirstEnumeration:
         p, q = alpha.numerator, alpha.denominator
 
         def verdict(masks):
-            return (_content(p, q, n, adj, masks, v), _improving_move(p, q, n, adj, masks, v),
-                    _best_deviation(p, q, n, adj, masks, v))
+            return _content(p, q, n, adj, masks, v), _moves(p, q, n, adj, masks, v)
 
         full = verdict(buys_masks)
         assert verdict(only_v) == full
@@ -664,7 +667,7 @@ class TestClassFirstEnumeration:
         # Past the public n <= 6 guard, through the class engine. At alpha 2
         # the only non-tree equilibria are the directed C7s: 6!/2 labeled
         # 7-cycles, each bought in either direction.
-        orbits, stats = _class_orbits(7, alpha)
+        orbits, stats = _class_orbits(7, alpha, connected_classes(7))
         assert stats.classes == 853
         assert sum(len(codes) for codes, _ in orbits) == equilibria
         assert sum(len(codes) for codes, price in orbits if not price.is_tree) == nontree
@@ -673,6 +676,18 @@ class TestClassFirstEnumeration:
                 assert price.edges == 7
                 profile = StrategyProfile.from_ownership_code(7, codes[0])
                 assert all(len(s) == 1 for s in profile.buys)  # a directed cycle
+
+    @pytest.mark.parametrize("n, alpha", [(4, Fraction(1, 3)), (5, Fraction(1, 2)),
+                                          (5, Fraction(25))])
+    def test_one_agent_view_per_content_check(self, monkeypatch, n, alpha):
+        # Each (vertex, owned set) verdict strips v's purchases once, for
+        # the single-link filter and the exact scan together.
+        calls = []
+        base_adj = equilibrium._base_adj
+        monkeypatch.setattr(equilibrium, "_base_adj",
+                            lambda *args: calls.append(1) or base_adj(*args))
+        stats = enumerate_equilibria(GameConfig(n, alpha)).stats
+        assert len(calls) == stats.content_checks
 
 
 class TestSearch:

@@ -283,3 +283,25 @@ class TestProfileSizeChecked:
                 call(GameConfig(4, Fraction(30)), _PATH_4)
         else:
             call(GameConfig(4, Fraction(30)), _PATH_4)
+
+
+# Every public function that takes an agent index, called with agent v.
+_AGENT_CALLS = {
+    "agent_cost": ncg.agent_cost,
+    "best_response_exact": ncg.best_response_exact,
+    "improving_move_heuristic": ncg.improving_move_heuristic,
+    "verify_witness": lambda cfg, p, v: ncg.verify_witness(
+        cfg, p, ncg.DeviationWitness(v, (), (0,), Fraction(0), Fraction(0))),
+    "lemma_crucial_deviation_a": lambda cfg, p, v: ncg.lemma_crucial_deviation(cfg, p, v, 2),
+    "lemma_crucial_deviation_b": lambda cfg, p, v: ncg.lemma_crucial_deviation(cfg, p, 0, v),
+}
+
+
+class TestAgentRangeChecked:
+    @pytest.mark.parametrize("v", [4, 7, -1])
+    @pytest.mark.parametrize("name", sorted(_AGENT_CALLS))
+    def test_out_of_range_raises(self, name, v):
+        # One message from the one check; a negative index is never read
+        # from the end of the profile.
+        with pytest.raises(ValueError, match=f"agent {v} out of range for n = 4"):
+            _AGENT_CALLS[name](GameConfig(4, Fraction(30)), _PATH_4, v)

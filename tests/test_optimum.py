@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 from conftest import directed_cycle_profile, profiles_of
+from ncg import equilibrium, optimum
+from ncg.cli import main
 from ncg.errors import NotEquilibrium, NotTree, SizeGuard
 from ncg.game import INF, GameConfig, StrategyProfile, build_graph, eccentricity, social_cost
 from ncg.equilibrium import enumerate_equilibria
@@ -152,6 +154,30 @@ class TestPriceOfAnarchy:
         report = price_of_anarchy(GameConfig(n, mid))
         if report.equilibria_considered:
             assert report.poa <= 2
+
+
+def _count_class_lists(monkeypatch) -> list:
+    """Record each connected_classes call of the enumeration and optimum."""
+    calls = []
+    classes = optimum.connected_classes
+    for module in (equilibrium, optimum):
+        monkeypatch.setattr(module, "connected_classes",
+                            lambda n: calls.append(n) or classes(n))
+    return calls
+
+
+class TestOneClassList:
+    def test_poa_builds_the_classes_once(self, monkeypatch):
+        calls = _count_class_lists(monkeypatch)
+        report = price_of_anarchy(GameConfig(5, Fraction(2)))
+        assert calls == [5]
+        assert (report.worst_equilibrium_cost, report.optimum_cost) == (24, 17)
+
+    def test_poa_guard_fires_before_any_class(self, monkeypatch, tmp_path):
+        calls = _count_class_lists(monkeypatch)
+        rc = main(["poa", "--n", "7", "--alpha", "2", "--out", str(tmp_path / "x.csv")])
+        assert rc == 5
+        assert calls == []
 
 
 class TestTreePoaCertificate:
