@@ -190,17 +190,17 @@ class OwnedGraph:
         self.adj = tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_agent(self.n, u)
+        _check_agent(self.n, v)
         return (self.adj[u] >> v) & 1 == 1
 
     def degree(self, u: int) -> int:
+        _check_agent(self.n, u)
         return self.adj[u].bit_count()
 
-    def neighbors(self, u: int):
-        m = self.adj[u]
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+    def neighbors(self, u: int) -> tuple:
+        _check_agent(self.n, u)
+        return _mask_to_tuple(self.adj[u])
 
     def edge_count(self) -> int:
         return len(self.edges)

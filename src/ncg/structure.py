@@ -9,6 +9,11 @@ closest-vertex partitions around a component, and shopping vertices.
 expected of an equilibrium and attaches re-verifiable witnesses to any
 failure.
 
+Blocks rest on two facts. Two blocks share at most one vertex, so a block
+is found as a vertex set, with every graph edge between its vertices.
+Each piece of the graph outside a block hangs off one block vertex, so a
+BFS tree from any root, restricted to a block, spans it.
+
 The audit reads one graph-wide table of the shortest cycle through each
 edge. Bridges come from the blocks, so they need no search; an edge in a
 triangle is read off the common-neighbour mask of its ends; every other
@@ -21,12 +26,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
 from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_agent,
-                   _check_size, agent_cost, all_pairs_distances, ball, bfs,
-                   build_graph, distances_from, eccentricity, metrics)
+                   _check_size, _mask_to_tuple, agent_cost, all_pairs_distances,
+                   bfs, build_graph, distances_from, eccentricity, metrics)
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,7 @@ class ClosestAssignment:
 
 @dataclass(frozen=True)
 class ShoppingVertexSet:
-    """Component vertices buying at least one edge outside the component's
-    restriction of the shortest path tree."""
+    """Component vertices buying at least one component edge off the tree."""
 
     members: frozenset
     edges_by_member: tuple  # sorted (member, (edges...)) pairs
@@ -158,65 +162,56 @@ class CrucialDeviation:
 
 
 def biconnected_components(graph: OwnedGraph) -> list:
-    """Maximal biconnected subgraphs with >= 3 vertices, via an iterative
-    lowpoint DFS with an edge stack. Bridges and isolated edges are not
-    reported, so trees (and forests) yield an empty list."""
-    n = graph.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    edge_stack: list = []
-    raw: list = []
-    timer = 0
-
-    for start in range(n):
-        if disc[start] != -1:
-            continue
-        disc[start] = low[start] = timer
-        timer += 1
-        dfs_stack = [(start, iter(list(graph.neighbors(start))))]
-        while dfs_stack:
-            u, it = dfs_stack[-1]
-            advanced = False
-            for v in it:
-                if disc[v] == -1:
-                    parent[v] = u
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    dfs_stack.append((v, iter(list(graph.neighbors(v)))))
-                    advanced = True
-                    break
-                elif v != parent[u] and disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            dfs_stack.pop()
-            if dfs_stack:
-                pu = dfs_stack[-1][0]
-                if low[u] < low[pu]:
-                    low[pu] = low[u]
-                if low[u] >= disc[pu]:
-                    comp = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (pu, u):
-                            break
-                    raw.append(comp)
-        assert not edge_stack, "edge stack must drain after each DFS root"
+    """Maximal biconnected subgraphs with >= 3 vertices; bridges and isolated
+    edges are not reported, so forests yield an empty list. An iterative
+    lowpoint DFS stacks vertices: a child u of p closes a block when nothing
+    below u reaches above p, and the block is p plus the vertices stacked
+    since u. Its edges are the graph's edges between those vertices."""
+    adj = graph.adj
+    disc = [-1] * graph.n
+    low = [0] * graph.n
+    clock = count()
     out = []
-    for comp in raw:
-        vertices = frozenset(v for e in comp for v in e)
-        if len(vertices) < 3:
+    for root in range(graph.n):
+        if disc[root] != -1:
             continue
-        edges = frozenset((u, v) if u < v else (v, u) for u, v in comp)
-        out.append(BiconnectedComponent(
-            vertices=vertices, edges=edges,
-            average_degree=Fraction(2 * len(edges), len(vertices)),
-            degrees=Counter(v for e in edges for v in e)))
+        disc[root] = low[root] = next(clock)
+        path, todo, stack = [root], [adj[root]], []
+        while path:
+            u, m = path[-1], todo[-1]
+            if m:
+                bit = m & -m
+                todo[-1] = m ^ bit
+                w = bit.bit_length() - 1
+                if disc[w] == -1:
+                    disc[w] = low[w] = next(clock)
+                    path.append(w)
+                    todo.append(adj[w])
+                    stack.append(w)
+                elif disc[w] < low[u]:
+                    # w may be u's parent: low[u] = disc[w] still closes a block.
+                    low[u] = disc[w]
+                continue
+            path.pop()
+            todo.pop()
+            if not path:
+                continue
+            p = path[-1]
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= disc[p]:
+                block = 1 << p
+                while not block >> u & 1:
+                    block |= 1 << stack.pop()
+                if block.bit_count() >= 3:
+                    vertices = _mask_to_tuple(block)
+                    edges = frozenset((v, w) for i, v in enumerate(vertices)
+                                      for w in vertices[i + 1:] if adj[v] >> w & 1)
+                    out.append(BiconnectedComponent(
+                        vertices=frozenset(vertices), edges=edges,
+                        average_degree=Fraction(2 * len(edges), len(vertices)),
+                        degrees=Counter({v: (adj[v] & block).bit_count()
+                                         for v in vertices})))
     out.sort(key=lambda c: sorted(c.vertices))
     return out
 
@@ -227,6 +222,7 @@ def shortest_path_tree(graph: OwnedGraph, root: int,
     as parent, so the tree is unique. Raises Disconnected if any vertex is
     out of reach."""
     n = graph.n
+    _check_agent(n, root)
     layers: list = []
     if bfs(graph.adj, 1 << root, (1 << n) - 1, layers) == INF:
         raise Disconnected(f"vertices unreachable from {root}")
@@ -419,23 +415,6 @@ def closest_assignment(rows, component: BiconnectedComponent) -> ClosestAssignme
     return ClosestAssignment(assignment=tuple(assignment))
 
 
-def _tree_restriction(component: BiconnectedComponent, spt: ShortestPathTree) -> dict:
-    """Partition of the component's vertices into the connected pieces of its
-    restriction to the tree: ``piece[v]`` is the smallest vertex of v's piece."""
-    n = len(spt.parent)
-    adj = [0] * n
-    for u, v in component.edges & spt.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    piece: dict[int, int] = {}
-    for v in sorted(component.vertices):
-        if v in piece:
-            continue
-        reached = ball(adj, 1 << v, n)
-        piece.update((w, v) for w in component.vertices if reached >> w & 1)
-    return piece
-
-
 def shopping_vertices(profile: StrategyProfile, component: BiconnectedComponent,
                       spt: ShortestPathTree) -> ShoppingVertexSet:
     """Component vertices that buy component edges missing from the shortest
@@ -549,9 +528,8 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
         bad = []
         for comp in comps:
             for v in sorted(comp.vertices):
-                owns = any((min(v, u), max(v, u)) in comp.edges
-                           for u in profile.buys[v])
-                if not owns:
+                # An edge between two block vertices is a block edge.
+                if not any(u in comp.vertices for u in profile.buys[v]):
                     bad.append(Witness(
                         "non_buyer", (v, tuple(sorted(comp.vertices))),
                         f"vertex {v} buys no edge of its component"))
@@ -654,19 +632,20 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     # --- shopping vertices ------------------------------------------------
     # Read only by the two runners below, whose gates imply this condition.
     if alpha > 1 and comps and connected:
+        # The tree restricted to a block spans it, so a tree path joins any
+        # two shopping vertices of one block.
         spt = shortest_path_tree(graph, min(mets.centers))
-        shopping_ctx = [(_tree_restriction(comp, spt),
-                         shopping_vertices(profile, comp, spt)) for comp in comps]
+        shopping_ctx = [shopping_vertices(profile, comp, spt) for comp in comps]
 
     def run_single_nontree():
         bad = []
-        for _, shopping in shopping_ctx:
+        for shopping in shopping_ctx:
             for m, edges in shopping.edges_by_member:
                 if len(edges) != 1:
                     bad.append(Witness(
                         "multi_nontree_buyer", (m, edges),
                         f"vertex {m} buys {len(edges)} non-tree edges {edges}"))
-        return [bad] if any(s.members for _, s in shopping_ctx) else None
+        return [bad] if any(s.members for s in shopping_ctx) else None
 
     component_gated(alpha > 1, True, run_single_nontree, "shopping_single_nontree")
 
@@ -676,25 +655,20 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
         # Depths are ints, and an int is below half iff below its ceiling.
         below = math.ceil(half)
         threshold = str(half)
-        examined = 0
-        for piece, shopping in shopping_ctx:
-            members = sorted(shopping.members)
-            for u1, u2 in combinations(members, 2):
-                if piece[u1] != piece[u2]:
-                    continue  # no tree path between them: infinitely separated
-                examined += 1
-                x, d1, d2 = _lca_and_depths(spt, u1, u2)
-                if max(d1, d2) < below:
-                    lca_bad.append(Witness(
-                        "close_shopping_pair", (u1, u2, x, d1, d2),
-                        f"shopping vertices {u1},{u2} are {d1},{d2} from their "
-                        f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
-                if d1 + d2 < below:
-                    dist_bad.append(Witness(
-                        "close_shopping_pair", (u1, u2, d1 + d2),
-                        f"tree distance {d1 + d2} between shopping vertices "
-                        f"{u1},{u2} < (alpha-1)/2 = {threshold}"))
-        return [lca_bad, dist_bad] if examined else None
+        pairs = [uv for s in shopping_ctx for uv in combinations(sorted(s.members), 2)]
+        for u1, u2 in pairs:
+            x, d1, d2 = _lca_and_depths(spt, u1, u2)
+            if max(d1, d2) < below:
+                lca_bad.append(Witness(
+                    "close_shopping_pair", (u1, u2, x, d1, d2),
+                    f"shopping vertices {u1},{u2} are {d1},{d2} from their "
+                    f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
+            if d1 + d2 < below:
+                dist_bad.append(Witness(
+                    "close_shopping_pair", (u1, u2, d1 + d2),
+                    f"tree distance {d1 + d2} between shopping vertices "
+                    f"{u1},{u2} < (alpha-1)/2 = {threshold}"))
+        return [lca_bad, dist_bad] if pairs else None
 
     component_gated(alpha > 2, True, run_shopping_pairs,
                     "shopping_lca_gap", "shopping_pair_distance")

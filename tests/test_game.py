@@ -285,7 +285,8 @@ class TestProfileSizeChecked:
             call(GameConfig(4, Fraction(30)), _PATH_4)
 
 
-# Every public function that takes an agent index, called with agent v.
+# Every public function that takes an agent index, or a vertex of the
+# induced graph, called with agent v.
 _AGENT_CALLS = {
     "agent_cost": ncg.agent_cost,
     "best_response_exact": ncg.best_response_exact,
@@ -294,6 +295,14 @@ _AGENT_CALLS = {
         cfg, p, ncg.DeviationWitness(v, (), (0,), Fraction(0), Fraction(0))),
     "lemma_crucial_deviation_a": lambda cfg, p, v: ncg.lemma_crucial_deviation(cfg, p, v, 2),
     "lemma_crucial_deviation_b": lambda cfg, p, v: ncg.lemma_crucial_deviation(cfg, p, 0, v),
+    "has_edge_u": lambda cfg, p, v: build_graph(p).has_edge(v, 0),
+    "has_edge_v": lambda cfg, p, v: build_graph(p).has_edge(0, v),
+    "degree": lambda cfg, p, v: build_graph(p).degree(v),
+    "neighbors": lambda cfg, p, v: build_graph(p).neighbors(v),
+    "shortest_path_tree": lambda cfg, p, v: ncg.shortest_path_tree(build_graph(p), v),
+    "min_cycle_through_edge": lambda cfg, p, v: ncg.min_cycle_through_edge(
+        build_graph(p), (v, 0)),
+    "is_min_cycle": lambda cfg, p, v: ncg.is_min_cycle(build_graph(p), [v, 0, 1, 2]),
 }
 
 
@@ -302,6 +311,6 @@ class TestAgentRangeChecked:
     @pytest.mark.parametrize("name", sorted(_AGENT_CALLS))
     def test_out_of_range_raises(self, name, v):
         # One message from the one check; a negative index is never read
-        # from the end of the profile.
+        # from the end of the profile or of the adjacency rows.
         with pytest.raises(ValueError, match=f"agent {v} out of range for n = 4"):
             _AGENT_CALLS[name](GameConfig(4, Fraction(30)), _PATH_4, v)

@@ -46,10 +46,18 @@ class TestBiconnectedComponents:
         assert [sorted(c.vertices) for c in comps] == [[0, 1, 2], [2, 3, 4]]
 
     def test_agrees_with_cycle_space_oracle_random(self):
+        # Disjoint random connected pieces, single vertices among them, so
+        # the DFS restarts at every piece and closes blocks at each root.
         rng = random.Random(20)
-        for _ in range(150):
-            n = rng.randint(3, 7)
-            edges = random_connected_graph_edges(rng, n)
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            labels = rng.sample(range(n), n)
+            edges = set()
+            while labels:
+                k = rng.choice([1, len(labels), rng.randint(1, len(labels))])
+                piece, labels = labels[:k], labels[k:]
+                edges |= {tuple(sorted((piece[u], piece[v])))
+                          for u, v in random_connected_graph_edges(rng, len(piece))}
             g = graph_from_edges(n, edges)
             got = sorted((frozenset(c.vertices), frozenset(c.edges))
                          for c in biconnected_components(g))
@@ -249,6 +257,23 @@ class TestMinCycleTable:
         assert {mc.length for mc in table.values()} == {3} and len(first) == 3
         assert calls["bfs"] == 0
 
+
+class TestBlocksInTrees:
+    """The audit pairs shopping vertices along the whole shortest path tree:
+    rooted anywhere, that tree restricted to a block spans the block."""
+
+    @given(owned_graphs().filter(lambda g: g.is_connected()))
+    @example(_BLOCKS)
+    def test_shortest_path_tree_spans_every_block(self, g):
+        for comp in biconnected_components(g):
+            for root in range(g.n):
+                kept = shortest_path_tree(g, root).edges() & comp.edges
+                assert len(kept) == len(comp.vertices) - 1
+                adj = {v: set() for v in comp.vertices}
+                for u, v in kept:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                assert oracles.ball(adj, [min(comp.vertices)]) == comp.vertices
 
 def _dict_adjacency(g):
     adj = {v: set() for v in range(g.n)}
@@ -606,11 +631,8 @@ def _shopping_pair_reference(alpha, profile):
     threshold = (alpha - 1) / 2
     lca_bad, dist_bad, depths = [], [], set()
     for comp in biconnected_components(graph):
-        piece = ncg.structure._tree_restriction(comp, spt)
         members = sorted(shopping_vertices(profile, comp, spt).members)
         for u1, u2 in combinations(members, 2):
-            if piece[u1] != piece[u2]:
-                continue
             x, d1, d2 = ncg.structure._lca_and_depths(spt, u1, u2)
             depths.add((max(d1, d2), d1 + d2))
             if Fraction(max(d1, d2)) < threshold:
