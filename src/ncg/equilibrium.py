@@ -4,7 +4,8 @@ Every exact per-agent decision reads one primitive, _best_response: the
 agent's cheapest purchase set, found by scanning all 2^(n-1) purchase
 sets, so results are exact but only feasible at desk scale (guarded).
 Each candidate's BFS stops as soon as the candidate can no longer beat
-the best cost so far. Costs compare as integers derived
+the best cost so far, and a size where only usage 1 can still win is
+decided by one OR per set, not a BFS. Costs compare as integers derived
 from the exact rational alpha, never floats.
 
 Every per-agent decision starts from one _agent_view, the agent's
@@ -26,7 +27,8 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from operator import indexOf
 
 from .errors import SizeGuard
 from .game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
@@ -171,8 +173,10 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
     are pruned (usage >= 1 for n >= 2), and each candidate's BFS stops as
     soon as its usage can no longer beat the bound, which tightens with
     every win; a cut BFS returns INF, which never wins, so every returned
-    triple is exact. The only exhaustive scan, so the only place that
-    enforces BEST_RESPONSE_MAX_N; _best_response is its one caller.
+    triple is exact. A size whose hop limit is 0 when it starts can win only
+    at usage 1, for the first S with ring | S == V: one OR per set, in C.
+    The only exhaustive scan; it enforces BEST_RESPONSE_MAX_N, as does
+    search_nontree_equilibria. _best_response is its one caller.
     """
     if n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
@@ -187,6 +191,13 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
             break
         # The BFS from v's first ring is one hop short of v's usage.
         limit = _usage_limit(p, q, k, bound) - 1
+        if limit == 0:
+            # Only usage 1 wins here, and nothing after the first win beats it.
+            try:
+                at = indexOf(map(ring.__or__, map(sum, combinations(bits, k))), full)
+            except ValueError:
+                continue
+            return sum(next(islice(combinations(bits, k), at, None))), k, 1
         for smask in map(sum, combinations(bits, k)):
             e = 1 + bfs(base_adj, ring | smask, full, None, limit)
             scaled = p * k + q * e  # INF when e is

@@ -170,8 +170,9 @@ def _decode(n: int, code: str) -> list:
 class OwnedGraph:
     """Simple undirected graph induced by a profile, plus per-edge buyer labels.
 
-    Edges are pairs (u, v) with u < v; ``owners[e]`` is the nonempty set of
-    endpoints that paid for e. ``adj`` holds one neighbor bitmask per vertex.
+    Edges are pairs (u, v) with u < v, however they are given (a pair given
+    both ways is one edge); ``owners[e]`` is the nonempty set of endpoints
+    that paid for e. ``adj`` holds one neighbor bitmask per vertex.
     """
 
     __slots__ = ("n", "edges", "owners", "adj")
@@ -179,8 +180,11 @@ class OwnedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  owners: Mapping[tuple[int, int], frozenset[int]]):
         self.n = n
-        self.edges = frozenset(edges)
-        self.owners = dict(owners)
+        self.edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+        self.owners = own = {}
+        for (u, v), o in owners.items():
+            e = (u, v) if u < v else (v, u)
+            own[e] = own[e] | o if e in own else frozenset(o)
         adj = [0] * n
         for u, v in self.edges:
             if u == v or not (0 <= u < n and 0 <= v < n):

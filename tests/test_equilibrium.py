@@ -26,11 +26,16 @@ from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
                              is_nash, isomorphism_canonical_code,
                              search_nontree_equilibria, verify_witness)
 from ncg.isomorphism import connected_classes
+from ncg.optimum import star_profile
 
 
-# Agent 0 owns the first link of an 8-path; every link is bought by its
-# lower end.
-_PATH_8 = StrategyProfile.from_sets([{i + 1} for i in range(7)] + [set()])
+def _path(n):
+    """The n-path 0-1-...-(n-1), every link bought by its lower end."""
+    return StrategyProfile.from_sets([{i + 1} for i in range(n - 1)] + [set()])
+
+
+# Agent 0 owns the first link of an 8-path.
+_PATH_8 = _path(8)
 # Agent 0 owns no link and no one links to it, so its current cost is INF.
 _CUT_OFF_7 = StrategyProfile.from_sets([set(), {2}, {3}, {4}, {5}, {6}, {1}])
 
@@ -245,6 +250,12 @@ class TestBestResponsePrimitive:
     @example(_CUT_OFF_7, Fraction(2))   # agent 0 is cut off: cur is INF
     @example(_CUT_OFF_7, Fraction(19, 2))
     @example(directed_cycle_profile(9), Fraction(1, 4))
+    # Sizes whose hop limit starts at 0 are decided by the usage-1 OR pass:
+    @example(_PATH_8, Fraction(1, 8))   # agent 3 wins at the 5th set of size 6
+    @example(directed_cycle_profile(9), Fraction(1, 8))   # agent 0 wins at size 7
+    @example(star_profile(9), Fraction(1, 4))   # a leaf loses at sizes 2-4
+    # Agent 0's bound is INF, so no pass runs until size 1 reconnects it.
+    @example(_CUT_OFF_7, Fraction(1, 8))
     @settings(max_examples=30, deadline=None)
     def test_matches_oracle(self, profile, alpha):
         n, buys = profile.n, profile.buys
@@ -259,6 +270,26 @@ class TestBestResponsePrimitive:
             # The oracle's first cheapest set in (size, lex) order.
             assert k == mask.bit_count()
             assert (_mask_to_tuple(mask), alpha * k + e) == oracles.best_response(n, alpha, buys, v)
+
+
+class TestLargeScansPinned:
+    """Best responses past the oracle's reach, pinned to the values the scan
+    gave before sizes at hop limit 0 were decided by one OR per set."""
+
+    @pytest.mark.parametrize("profile, expected", [
+        (directed_cycle_profile(12), ((2, 5, 8), Fraction(11, 4))),
+        (_path(12), ((1, 4, 7, 10), Fraction(3))),
+        (directed_cycle_profile(14), ((1, 4, 7, 10), Fraction(3))),
+        (_path(14), ((1, 3, 6, 9, 12), Fraction(13, 4))),
+    ])
+    def test_best_response_exact(self, profile, expected):
+        cfg = GameConfig(profile.n, Fraction(1, 4))
+        assert best_response_exact(cfg, profile, 0) == expected
+
+    def test_is_nash_star(self):
+        report = is_nash(GameConfig(12, Fraction(1, 4)), star_profile(12))
+        assert report.is_nash and report.witness is None
+        assert report.per_agent_best == (Fraction(1),) + (Fraction(9, 4),) * 11
 
 
 class TestImprovingMoveDecider:

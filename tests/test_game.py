@@ -10,8 +10,8 @@ import ncg
 import oracles
 from conftest import alphas, strategy_profiles
 from ncg.errors import SizeGuard
-from ncg.game import (INF, MAX_AGENTS, GameConfig, StrategyProfile, _buys_masks,
-                      _decode, _digit_table, _encode, agent_cost,
+from ncg.game import (INF, MAX_AGENTS, GameConfig, OwnedGraph, StrategyProfile,
+                      _buys_masks, _decode, _digit_table, _encode, agent_cost,
                       all_pairs_distances, build_graph, metrics, social_cost)
 
 
@@ -101,6 +101,16 @@ class TestBuildGraph:
         assert g.edges == frozenset({(0, 1), (1, 2)})
         assert g.owners[(0, 1)] == frozenset({0})
         assert g.owners[(1, 2)] == frozenset({1})
+
+    def test_unordered_pairs_normalised(self):
+        # Each pair becomes (min, max); a pair given both ways is one edge
+        # whose owners are the union.
+        g = OwnedGraph(3, [(1, 0), (0, 1), (2, 1)],
+                       {(1, 0): frozenset({1}), (0, 1): frozenset({0}),
+                        (2, 1): frozenset({2})})
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.owners == {(0, 1): frozenset({0, 1}), (1, 2): frozenset({2})}
+        assert g.adj == (0b010, 0b101, 0b010)
 
     @given(strategy_profiles())
     def test_deterministic_and_owner_nonempty(self, profile):

@@ -13,8 +13,8 @@ import ncg.structure
 from conftest import (directed_cycle_profile, profile_from_edges,
                       random_connected_graph_edges)
 from ncg.errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from ncg.game import (GameConfig, StrategyProfile, all_pairs_distances, build_graph,
-                      metrics)
+from ncg.game import (GameConfig, OwnedGraph, StrategyProfile, all_pairs_distances,
+                      build_graph, metrics)
 from ncg.equilibrium import is_nash
 from ncg.structure import (Witness, audit_equilibrium_structure,
                            biconnected_components, closest_assignment,
@@ -357,6 +357,21 @@ class TestDirectedCycles:
     def test_reversed_orientation_counts(self):
         profile = StrategyProfile.from_sets([{2}, {0}, {1}])
         assert _directed_flags(profile) == {True}
+
+
+class TestUnorderedEdgePairs:
+    """A directed triangle whose pairs are given high end first."""
+
+    GRAPH = OwnedGraph(3, [(1, 0), (2, 1), (2, 0)],
+                       {(1, 0): frozenset({0}), (2, 1): frozenset({1}),
+                        (2, 0): frozenset({2})})
+
+    def test_girth(self):
+        assert biconnected_components(self.GRAPH)[0].vertices == frozenset({0, 1, 2})
+        assert girth(self.GRAPH) == 3
+
+    def test_min_cycle_is_directed(self):
+        assert min_cycle_through_edge(self.GRAPH, (1, 0)).directed
 
 
 class TestGirth:
