@@ -17,8 +17,9 @@ The single-link decider (drop, buy or swap one link) is a cheap filter
 for search's descent and enumeration's content check. A buy or swap is
 decided by ball cover: the kept links plus u bring every vertex within
 the group's hop limit h exactly when u lies within h hops of every
-vertex the kept links miss. Dynamics and search update only the
-adjacency rows a move changes, and search streams its restarts.
+vertex the kept links miss; at h <= 1 the balls come from the masks, not
+a BFS. Dynamics and search update only the adjacency rows a move changes,
+search streams its restarts and verifies a candidate costliest agent first.
 """
 
 from __future__ import annotations
@@ -215,9 +216,23 @@ def _cover_winners(base_adj, sources: int, hops: int, n: int, cands: int, balls:
     A multi-source ball is the union of single-source balls and distance
     is symmetric, so these are the candidates that lie within ``hops`` of
     every vertex the sources alone miss: one ball per missed vertex,
-    ascending, until no candidate is left. ``balls`` caches the
-    single-vertex balls of this radius by vertex bit.
+    ascending, until no candidate is left. Balls of radius 0 and 1 are the
+    masks themselves and the masks plus their neighbours; larger ones come
+    from ``ball``, and ``balls`` caches the single-vertex ones by vertex bit.
     """
+    if hops <= 1:
+        reach = sources
+        m = sources if hops else 0
+        while m:
+            low = m & -m
+            m ^= low
+            reach |= base_adj[low.bit_length() - 1]
+        missed = ((1 << n) - 1) & ~reach
+        while missed and cands:
+            low = missed & -missed
+            missed ^= low
+            cands &= base_adj[low.bit_length() - 1] | low if hops else low
+        return cands
     missed = ((1 << n) - 1) & ~ball(base_adj, sources, n, hops)
     while missed and cands:
         low = missed & -missed
@@ -578,14 +593,21 @@ def enumerate_equilibria(config: GameConfig, classes=None) -> EnumerationResult:
 _MAX_CHUNK = 1024
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU of the host."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _parallel_map(func, args, count: int, workers: int):
     """Yield ``func(a)`` for each of the ``count`` items of the iterable
     ``args``, in order, on a pool of forked processes when more than one is
-    useful: never more than ``workers``, items or cores. Items are drawn and
-    results yielded as the work goes, so memory does not grow with
-    ``count``. Search is the only caller: its restarts are independent and
-    each is long enough to repay the pool."""
-    procs = min(workers, count, os.cpu_count() or 1)
+    useful: never more than ``workers``, items or usable CPUs. Items are
+    drawn and results yielded as the work goes, so memory does not grow
+    with ``count``. Search is the only caller: its restarts are independent
+    and each is long enough to repay the pool."""
+    procs = min(workers, count, _usable_cpus())
     if procs < 2:
         yield from map(func, args)
         return
@@ -610,7 +632,8 @@ def _random_buys_masks(rng: random.Random, n: int) -> list:
 
 def _search_iteration(args):
     """One restart: single improving moves on mask state, then exact
-    verification; a non-tree equilibrium comes back as (code, price)."""
+    verification, costliest agent first, which changes no verdict; a
+    non-tree equilibrium comes back as (code, price)."""
     n, alpha, seed, iteration = args
     rng = random.Random(_derive_seed(seed, iteration))
     buys_masks = _random_buys_masks(rng, n)
@@ -632,11 +655,14 @@ def _search_iteration(args):
             break
     edges = sum(m.bit_count() for m in adj) // 2
     # A disconnected profile is never Nash: buying every link beats INF.
-    # A quiet sweep has just found no single-link move, so the scan decides.
-    if (edges == n - 1 or bfs(adj, 1, full) == INF
-            or any(_best_deviation(p, q, n, v, *_agent_view(p, q, n, adj, buys_masks, v))
-                   is not None for v in range(n))):
-        return None  # a tree, disconnected, or not an equilibrium
+    if edges == n - 1 or bfs(adj, 1, full) == INF:
+        return None
+    # A quiet sweep has just found no single-link move, so the scan decides,
+    # costliest agent first: it is the likeliest to deviate.
+    views = [_agent_view(p, q, n, adj, buys_masks, v) for v in range(n)]
+    if any(_best_deviation(p, q, n, v, *views[v]) is not None
+           for v in sorted(range(n), key=lambda v: views[v][0], reverse=True)):
+        return None
     return _encode(buys_masks), _price(alpha, n, adj, buys_masks)
 
 

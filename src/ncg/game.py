@@ -172,7 +172,7 @@ class OwnedGraph:
 
     Edges are pairs (u, v) with u < v, however they are given (a pair given
     both ways is one edge); ``owners[e]`` is the nonempty set of endpoints
-    that paid for e. ``adj`` holds one neighbor bitmask per vertex.
+    that paid for e, else ValueError. ``adj`` has a neighbor mask per vertex.
     """
 
     __slots__ = ("n", "edges", "owners", "adj")
@@ -183,6 +183,8 @@ class OwnedGraph:
         self.edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         self.owners = own = {}
         for (u, v), o in owners.items():
+            if not 0 < len(o) == (u in o) + (v in o):  # nonempty, endpoints only
+                raise ValueError(f"owners {sorted(o)} of ({u}, {v}) are not its endpoints")
             e = (u, v) if u < v else (v, u)
             own[e] = own[e] | o if e in own else frozenset(o)
         adj = [0] * n
@@ -191,6 +193,8 @@ class OwnedGraph:
                 raise ValueError(f"bad edge ({u}, {v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        if own.keys() != self.edges:
+            raise ValueError("the owners' pairs must be the edges")
         self.adj = tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -337,7 +337,7 @@ class TestDeterminism:
             raise AssertionError(f"{mode} asked for a {method} context")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(equilibrium, "_usable_cpus", lambda: 4)
         out = tmp_path / "w2.csv"
         assert main([mode, "--n", "5", "--alpha", "2", "--workers", "2",
                      "--out", str(out)]) == 0

@@ -211,10 +211,30 @@ class TestImprovingMoveHeuristic:
                 assert not is_nash(cfg, profile).is_nash
 
 
+# Single-link groups at hop limit 0 or 1 cover from the masks, larger
+# limits from balls. A swap never wins at limit 0: usage 1 after dropping
+# a link needs the other end to have bought it too, and then the drop of
+# that copy wins first.
+# Agent 0 owns nothing and reaches all but 5 through 1; at alpha = 1/2
+# buying 5 wins at hop limit 0.
+_BUY_AT_0 = StrategyProfile.from_sets([set(), {0, 5}, {0}, {0}, {0}, set()])
+# The path 0-1-2-3-4 with 5 hung on 3: at alpha = 1 agent 0 wins at hop
+# limit 1 by buying 3, itself a vertex its ring misses.
+_BUY_AT_1 = StrategyProfile.from_sets([set(), {0}, {1}, {2}, {3}, {3}])
+# Leaves that buy their link to the centre 1: at alpha = 1 each leaf's
+# swap group runs at hop limit 0 and finds nothing.
+_STAR_LEAVES_BUY = StrategyProfile.from_sets([{1}, set(), {1}, {1}, {1}, {1}])
 # Agent 5 owns {3, 4}. At alpha = 1 no drop or add wins, nor a swap that
-# drops 3; the swap of 4 for 1 wins on a cover that reuses vertex 0's
-# ball, cached while the swaps that drop 3 were decided.
-_SWAP_FROM_CACHE = StrategyProfile.from_sets([{1}, {4}, {5}, set(), set(), {3, 4}])
+# drops 3; the swap of 4 for 1 wins at hop limit 1.
+_SWAP_AT_1 = StrategyProfile.from_sets([{1}, {4}, {5}, set(), set(), {3, 4}])
+# Legs 0-1-2, 0-3-4 and 0-5-6, each link bought away from 0: at alpha = 1
+# agents 1, 3 and 5 are quiet with their swap group at hop limit 1, and
+# 2, 4 and 6 win a swap at hop limit 2.
+_SPIDER_7 = StrategyProfile.from_sets([set(), {0}, {1}, {0}, {3}, {0}, {5}])
+# The path 0-1-4-5-3-2 with 6 hung on 4; agent 3 owns {2, 5}. At alpha = 1
+# the swap of 5 for 1 wins at hop limit 2 on a cover that reuses vertex
+# 0's ball, cached while the swap that drops 2 was decided.
+_SWAP_FROM_CACHE = StrategyProfile.from_sets([{1}, set(), set(), {2, 5}, {1}, {4}, {4}])
 
 
 @st.composite
@@ -310,6 +330,11 @@ class TestImprovingMoveDecider:
     @example(directed_cycle_profile(9), Fraction(19, 2))
     @example(_CUT_OFF_7, Fraction(2))
     @example(_CUT_OFF_7, Fraction(19, 2))
+    @example(_BUY_AT_0, Fraction(1, 2))
+    @example(_BUY_AT_1, Fraction(1))
+    @example(_STAR_LEAVES_BUY, Fraction(1))
+    @example(_SWAP_AT_1, Fraction(1))
+    @example(_SPIDER_7, Fraction(1))
     @example(_SWAP_FROM_CACHE, Fraction(1))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_deep(self, profile, alpha):
@@ -721,6 +746,53 @@ class TestClassFirstEnumeration:
         assert len(calls) == stats.content_checks
 
 
+# search_nontree_equilibria(GameConfig(10, 1), seed=761901386, iterations=200),
+# as (code, edges, social cost, max agent cost); every find has a cycle.
+_SEARCH_N10_FINDS = (
+    ("000000001000010000001000000002000200002022011", 10, 37, 5),
+    ("000000001002000000010000020000111010001000002", 10, 37, 7),
+    ("000000002000001000000100000002000020001020221", 10, 37, 6),
+    ("000000002100000200020000000020000010002002012", 10, 38, 6),
+    ("000000010000000010000001000200001000010001122", 10, 37, 4),
+    ("000000010000000010000100000001000100200002221", 10, 37, 4),
+    ("000000020000000100000020200000202210000002002", 10, 37, 5),
+    ("000000020020000000000020111011000000000110000", 10, 37, 8),
+    ("000000100000000010000100000200000011002020120", 10, 38, 4),
+    ("000000100000000020000100000002000200100100122", 10, 37, 6),
+    ("000000100000001220000100000020000200200200100", 10, 37, 5),
+    ("000000101000000020000001000002000010101101001", 11, 37, 4),
+    ("000000200000000011000000010101002000000002120", 10, 37, 5),
+    ("000000200000000100000001000001000200010200111", 10, 37, 6),
+    ("000000201002000000100000200001012000100000100", 10, 38, 5),
+    ("000001000000000010001000000100001000100202012", 10, 37, 4),
+    ("000001000002001000001000100000110010000010200", 10, 38, 6),
+    ("000010000100100000000010010000100002102010002", 11, 37, 4),
+    ("000010000200110010000000020000200002200010000", 10, 37, 5),
+    ("000020000000000100000010000002100000021002102", 10, 37, 5),
+    ("000020000000010000020000002000100002212202000", 11, 37, 5),
+    ("000020020210001100000000010000000100000020001", 10, 38, 5),
+    ("000100010001000002000010100000222020010010002", 13, 37, 4),
+    ("000200000001000000001000100000021200020020001", 10, 37, 6),
+    ("000202000000001000000200000020000200020200110", 10, 38, 6),
+    ("002000000000000020001000101002000000002211000", 10, 37, 5),
+    ("002000000000020000002000012210000120000001000", 10, 38, 6),
+    ("002210120000000200000020000000000000000200201", 10, 37, 7),
+    ("010100100001000000000000100000200000010020220", 10, 45, 6),
+    ("010111000000200000000000020000200120100000000", 10, 37, 6),
+    ("020000000000100000020001010000000022001000021", 10, 37, 4),
+    ("020000000001020001001022200100000002000000000", 10, 41, 5),
+    ("020100021000000100000010000010000000020010100", 10, 37, 4),
+    ("100000000102100110000000020000000000010020200", 10, 37, 6),
+    ("100000000220200110000000000000201001000000010", 10, 38, 5),
+    ("200000000010100020000002000000100001012000020", 10, 37, 6),
+    ("200000000011000210000010000000101100000020000", 10, 37, 6),
+    ("200101001000000000000012000001100000200010020", 11, 41, 5),
+    ("202200021000000100000010000000000100020010200", 11, 37, 5),
+    ("202212222100000000000020000000000000000000000", 10, 37, 4),
+    ("210011000000000000020220010000100000002000000", 10, 37, 5),
+)
+
+
 class TestSearch:
     def test_high_alpha_probe_comes_back_empty(self):
         found = search_nontree_equilibria(GameConfig(6, Fraction(25)),
@@ -771,6 +843,16 @@ class TestSearch:
             graph = build_graph(profile)
             assert graph.is_connected() and not graph.is_tree()
             assert is_nash(cfg, profile).is_nash
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_n10_restarts(self, workers):
+        """A 200-restart search at n = 10, alpha = 1: the descent, the
+        candidate filter and the exact verification find exactly these."""
+        found = search_nontree_equilibria(GameConfig(10, Fraction(1)), seed=761901386,
+                                          iterations=200, workers=workers)
+        assert [(code, p.edges, p.social_cost, p.max_agent_cost)
+                for code, p in found] == list(_SEARCH_N10_FINDS)
+        assert not any(p.is_tree for _, p in found)
 
 
 def _has_double_purchase(profile):
@@ -929,7 +1011,7 @@ def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
     serial = [search_nontree_equilibria(cfg, seed=5, iterations=k) for k in (3, 6)]
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(equilibrium, "_usable_cpus", lambda: 4)
     assert [search_nontree_equilibria(cfg, seed=5, iterations=k, workers=100_000)
             for k in (3, 6)] == serial
     # 3 iterations on 4 cores, then 6 iterations on 4 cores, in tasks of
@@ -943,9 +1025,18 @@ def test_pool_chunks_capped_for_huge_restart_counts(monkeypatch):
     # each process's share would grow with --iters; the cap bounds it.
     ctx = _RecordingContext(run=False)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(equilibrium, "_usable_cpus", lambda: 2)
     cfg = GameConfig(4, Fraction(1, 2))
     for iterations in (800, 10 ** 9):
         assert search_nontree_equilibria(cfg, seed=5, iterations=iterations, workers=2) == ()
     assert ctx.sizes == [2, 2]
     assert ctx.chunks == [100, 1024]
+
+
+def test_pool_cap_counts_the_cpus_the_process_may_use(monkeypatch):
+    # A 2-CPU affinity mask on an 8-CPU host caps the pool at 2 processes.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert equilibrium._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert equilibrium._usable_cpus() == 8

@@ -112,6 +112,18 @@ class TestBuildGraph:
         assert g.owners == {(0, 1): frozenset({0, 1}), (1, 2): frozenset({2})}
         assert g.adj == (0b010, 0b101, 0b010)
 
+    @pytest.mark.parametrize("edges, owners", [
+        # (1, 2) "bought" by 0, and (0, 1), (0, 2) with no owner at all
+        ([(0, 1), (1, 2), (0, 2)], {(1, 2): frozenset({0})}),
+        ([(0, 1), (1, 2)], {(0, 1): frozenset({0})}),                # edge without owner
+        ([(0, 1)], {(0, 1): frozenset({1}), (1, 2): frozenset({1})}),  # owner of no edge
+        ([(0, 1)], {(1, 0): frozenset({0, 2})}),                     # owner off the edge
+        ([(0, 1)], {(0, 1): frozenset()}),                           # empty owner set
+    ])
+    def test_owners_must_match_edges(self, edges, owners):
+        with pytest.raises(ValueError):
+            OwnedGraph(3, edges, owners)
+
     @given(strategy_profiles())
     def test_deterministic_and_owner_nonempty(self, profile):
         g1 = build_graph(profile)
