@@ -29,7 +29,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import NamedTuple
@@ -45,8 +44,7 @@ from .profiles import load_profile
 from .structure import audit_equilibrium_structure, render_report
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     mode: str
     n: int | None = None
     alpha: Fraction | None = None
@@ -61,8 +59,7 @@ class ExperimentConfig:
     show_witnesses: bool = False
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     tool: str
     version: str
     mode: str
@@ -73,10 +70,10 @@ class RunManifest:
     sha256: str
     wall_time_s: float
     created_utc: str
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(value) -> str:
@@ -230,7 +227,7 @@ def _enumeration_summary(result) -> dict:
         "worst_cost": _fmt(result.worst_cost),
         "best_cost": _fmt(result.best_cost),
         "isomorphism_classes": len(result.canonical_forms),
-        "stats": asdict(result.stats),
+        "stats": result.stats._asdict(),
     }
 
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from operator import indexOf
+from typing import NamedTuple
 
 from .errors import SizeGuard
 from .game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
@@ -41,8 +41,7 @@ BEST_RESPONSE_MAX_N = 20
 ENUMERATION_MAX_N = 6
 
 
-@dataclass(frozen=True)
-class DeviationWitness:
+class DeviationWitness(NamedTuple):
     """A strictly improving unilateral strategy change; disproves equilibrium."""
 
     agent: int
@@ -52,15 +51,13 @@ class DeviationWitness:
     new_cost: Fraction | float
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     is_nash: bool
     witness: DeviationWitness | None
     per_agent_best: tuple | None
 
 
-@dataclass(frozen=True)
-class DynamicsStep:
+class DynamicsStep(NamedTuple):
     index: int
     agent: int
     old_cost: Fraction | float
@@ -68,15 +65,13 @@ class DynamicsStep:
     new_strategy: tuple
 
 
-@dataclass(frozen=True)
-class DynamicsTrace:
+class DynamicsTrace(NamedTuple):
     steps: tuple
     outcome: str  # "converged" | "cycle" | "budget-exhausted"
     final_profile: StrategyProfile
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(NamedTuple):
     """Work counts of one enumeration; the same on every run."""
 
     classes: int  # connected graph classes whose representative was oriented
@@ -85,8 +80,7 @@ class EnumerationStats:
     profiles_expanded: int  # relabeled codes built: n! per profile class
 
 
-@dataclass(frozen=True)
-class ProfilePrice:
+class ProfilePrice(NamedTuple):
     """Graph and cost figures of a profile, shared by its isomorphism class."""
 
     edges: int
@@ -95,8 +89,7 @@ class ProfilePrice:
     max_agent_cost: Fraction | float
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     alpha: Fraction
     n: int
     codes: tuple  # every labeled equilibrium's ownership code, sorted
@@ -279,7 +272,9 @@ def _improving_move(p: int, q: int, n: int, v: int, cur_mask: int, cur_scaled, b
             low = won & -won
             return cur_mask | low, cur_k + 1, 1 + bfs(base, ring | cur_mask | low, full)
     hops = _usage_limit(p, q, cur_k, cur_scaled) - 1
-    if missing and hops >= 0:
+    # No swap wins at limit 0: usage 1 after the drop needs the dropped link
+    # bought from the other end too, and then its drop has already won.
+    if missing and hops >= 1:
         balls: dict = {}
         drops = cur_mask
         while drops:

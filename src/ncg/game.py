@@ -14,10 +14,9 @@ cost model needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import SizeGuard
 
@@ -26,28 +25,41 @@ INF = float("inf")
 MAX_AGENTS = 4096
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Instance parameters: agent count and exact unit edge cost."""
+# NamedTuple's _make, which _replace calls, skips __new__; this one goes
+# through it, so the checked types below check replaced fields too.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
+
+class _GameConfigFields(NamedTuple):
     n: int
     alpha: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.n > MAX_AGENTS:
-            raise SizeGuard(f"n must be <= {MAX_AGENTS} agents, got {self.n}")
+
+class GameConfig(_GameConfigFields):
+    """Instance parameters: agent count and exact unit edge cost."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, n: int, alpha):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        if n > MAX_AGENTS:
+            raise SizeGuard(f"n must be <= {MAX_AGENTS} agents, got {n}")
         # A float is already rounded (0.1 is not 1/10), so only exact types count.
-        if isinstance(self.alpha, (bool, float)):
-            raise ValueError(f"alpha must be an exact rational, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if isinstance(alpha, (bool, float)):
+            raise ValueError(f"alpha must be an exact rational, got {alpha!r}")
+        alpha = Fraction(alpha)
+        if alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+        return super().__new__(cls, n, alpha)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class _StrategyProfileFields(NamedTuple):
+    buys: tuple[tuple[int, ...], ...]
+
+
+class StrategyProfile(_StrategyProfileFields):
     """Per-agent purchase sets, stored canonically as sorted tuples.
 
     ``buys[i]`` lists the agents to which i buys a link. The same
@@ -55,11 +67,12 @@ class StrategyProfile:
     both purchase sets but only once in the induced graph.
     """
 
-    buys: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        n = len(self.buys)
-        for i, s in enumerate(self.buys):
+    def __new__(cls, buys):
+        n = len(buys)
+        for i, s in enumerate(buys):
             if list(s) != sorted(set(s)):
                 raise ValueError(f"purchase set of agent {i} is not canonical: {s}")
             for j in s:
@@ -67,6 +80,7 @@ class StrategyProfile:
                     raise ValueError(f"agent {i} buys invalid index {j}")
                 if j == i:
                     raise ValueError(f"agent {i} buys a self-loop")
+        return super().__new__(cls, buys)
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "StrategyProfile":
@@ -223,8 +237,7 @@ class OwnedGraph:
         return f"OwnedGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Eccentricities and derived radius / diameter / center set."""
 
     ecc: tuple
@@ -236,8 +249,7 @@ class Metrics:
         return self.radius != INF
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """One agent's cost: alpha * purchases + eccentricity, saturating at INF."""
 
     creation: Fraction

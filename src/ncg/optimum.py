@@ -8,8 +8,8 @@ one per isomorphism class, and serves as the oracle for the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotEquilibrium, NotTree, SizeGuard
 from .game import (GameConfig, StrategyProfile, _check_size, _decode,
@@ -22,15 +22,13 @@ from .isomorphism import connected_classes, relabelings
 OPTIMUM_BRUTEFORCE_MAX_N = 6
 
 
-@dataclass(frozen=True)
-class OptimumResult:
+class OptimumResult(NamedTuple):
     cost: Fraction
     witness: StrategyProfile
     method: str  # "analytic" | "brute-force"
 
 
-@dataclass(frozen=True)
-class PoAReport:
+class PoAReport(NamedTuple):
     alpha: Fraction
     n: int
     worst_equilibrium_cost: Fraction | None
@@ -40,8 +38,7 @@ class PoAReport:
     exhaustive: bool
 
 
-@dataclass(frozen=True)
-class TreePoaCertificate:
+class TreePoaCertificate(NamedTuple):
     """Per-equilibrium evidence for the tree price-of-anarchy bound."""
 
     diameter: int

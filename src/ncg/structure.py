@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
+from typing import NamedTuple
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
 from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_agent,
@@ -34,19 +34,20 @@ from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_agent,
                    bfs, build_graph, distances_from, eccentricity, metrics)
 
 
-@dataclass(frozen=True)
-class BiconnectedComponent:
+class BiconnectedComponent(NamedTuple):
     """Maximal biconnected subgraph with at least three vertices."""
 
     vertices: frozenset
     edges: frozenset
     average_degree: Fraction
-    # Derived from edges, so it takes no part in ==, hash or repr.
-    degrees: Counter = field(compare=False, repr=False)
+
+    @property
+    def degrees(self) -> Counter:
+        """Each vertex's degree in the component; not a field, as edges fix it."""
+        return Counter(v for edge in self.edges for v in edge)
 
 
-@dataclass(frozen=True)
-class ShortestPathTree:
+class ShortestPathTree(NamedTuple):
     """BFS tree with smallest-index parents; depth equals graph distance."""
 
     root: int
@@ -59,8 +60,7 @@ class ShortestPathTree:
             for v, p in enumerate(self.parent) if p is not None)
 
 
-@dataclass(frozen=True)
-class MinCycle:
+class MinCycle(NamedTuple):
     """Cycle whose internal distances match the host graph's distances."""
 
     vertices: tuple  # cyclic order
@@ -68,8 +68,7 @@ class MinCycle:
     directed: bool
 
 
-@dataclass(frozen=True)
-class TwoDegreePath:
+class TwoDegreePath(NamedTuple):
     """Maximal path whose interior vertices all have degree 2 in the component."""
 
     start: int
@@ -84,8 +83,7 @@ class TwoDegreePath:
         return (self.start, *self.interior, self.end)
 
 
-@dataclass(frozen=True)
-class ClosestAssignment:
+class ClosestAssignment(NamedTuple):
     """Every vertex mapped to its unique nearest component vertex."""
 
     assignment: tuple
@@ -94,23 +92,20 @@ class ClosestAssignment:
         return frozenset(w for w, a in enumerate(self.assignment) if a == v)
 
 
-@dataclass(frozen=True)
-class ShoppingVertexSet:
+class ShoppingVertexSet(NamedTuple):
     """Component vertices buying at least one component edge off the tree."""
 
     members: frozenset
     edges_by_member: tuple  # sorted (member, (edges...)) pairs
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: str
     payload: tuple
     summary: str
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     applicable: bool
     passed: bool | None  # None when not applicable
@@ -119,8 +114,7 @@ class CheckRecord:
     detail: str
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of every structural predicate for one profile."""
 
     records: tuple
@@ -138,8 +132,7 @@ class LemmaReport:
         return not self.failures()
 
 
-@dataclass(frozen=True)
-class CrucialDeviation:
+class CrucialDeviation(NamedTuple):
     """The swap-and-prune strategy change anchored at a reference vertex b:
     the agent trades one qualifying owned edge for a direct link to b and
     drops every other owned edge that lies outside the tree."""
@@ -209,9 +202,7 @@ def biconnected_components(graph: OwnedGraph) -> list:
                                       for w in vertices[i + 1:] if adj[v] >> w & 1)
                     out.append(BiconnectedComponent(
                         vertices=frozenset(vertices), edges=edges,
-                        average_degree=Fraction(2 * len(edges), len(vertices)),
-                        degrees=Counter({v: (adj[v] & block).bit_count()
-                                         for v in vertices})))
+                        average_degree=Fraction(2 * len(edges), len(vertices))))
     out.sort(key=lambda c: sorted(c.vertices))
     return out
 

@@ -222,7 +222,7 @@ _BUY_AT_0 = StrategyProfile.from_sets([set(), {0, 5}, {0}, {0}, {0}, set()])
 # limit 1 by buying 3, itself a vertex its ring misses.
 _BUY_AT_1 = StrategyProfile.from_sets([set(), {0}, {1}, {2}, {3}, {3}])
 # Leaves that buy their link to the centre 1: at alpha = 1 each leaf's
-# swap group runs at hop limit 0 and finds nothing.
+# buy limit is -1 and its swap limit 0, so neither group runs.
 _STAR_LEAVES_BUY = StrategyProfile.from_sets([{1}, set(), {1}, {1}, {1}, {1}])
 # Agent 5 owns {3, 4}. At alpha = 1 no drop or add wins, nor a swap that
 # drops 3; the swap of 4 for 1 wins at hop limit 1.
@@ -341,6 +341,26 @@ class TestImprovingMoveDecider:
         """n = 6..11, where each single-move group's bound cuts BFS runs and
         the add and swap groups are decided on balls of that radius."""
         _check_improving_move(profile, alpha)
+
+    def test_swap_group_skips_hop_limit_0(self, monkeypatch):
+        """A swap never wins at hop limit 0, so the swap group does not run
+        there. Each leaf of _STAR_LEAVES_BUY at alpha = 1 has buy limit -1
+        and swap limit 0, so any cover call at limit 0 comes from swaps."""
+        limits = []
+        cover = equilibrium._cover_winners
+
+        def counted(base, sources, hops, *rest):
+            limits.append(hops)
+            return cover(base, sources, hops, *rest)
+
+        monkeypatch.setattr(equilibrium, "_cover_winners", counted)
+        profile = _STAR_LEAVES_BUY
+        n, buys_masks = profile.n, _buys_masks(profile)
+        adj = build_graph(profile).adj
+        for v in (0, 2, 3, 4, 5):
+            cur, base = _agent_view(1, 1, n, adj, buys_masks, v)
+            assert _improving_move(1, 1, n, v, buys_masks[v], cur, base) is None
+        assert 0 not in limits
 
 
 def _moves(p, q, n, adj, buys_masks, v) -> tuple:
