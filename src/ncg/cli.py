@@ -233,10 +233,11 @@ def _enumeration_summary(result) -> dict:
 
 def _rows_search(config):
     game = _game_config(config)
+    stats: dict = {}
     found = search_nontree_equilibria(game, seed=config.seed,
                                       iterations=config.iterations,
-                                      workers=config.workers)
-    return _profile_rows(game, found), {"found": len(found)}
+                                      workers=config.workers, stats=stats)
+    return _profile_rows(game, found), {"found": len(found), "stats": stats}
 
 
 def _rows_audit(config):

@@ -20,6 +20,9 @@ the group's hop limit h exactly when u lies within h hops of every
 vertex the kept links miss; at h <= 1 the balls come from the masks, not
 a BFS. Dynamics and search update only the adjacency rows a move changes,
 search streams its restarts and verifies a candidate costliest agent first.
+Each descent sweep's agent order is drawn from the restart RNG's bits,
+the permutation random.shuffle gives on Python 3.10-3.13, and the exact
+check reads the views of the quiet sweep that ended the descent.
 """
 
 from __future__ import annotations
@@ -625,44 +628,73 @@ def _random_buys_masks(rng: random.Random, n: int) -> list:
     return buys_masks
 
 
+def _sweep_orders(rng: random.Random, n: int):
+    """Endless agent orders, one per descent sweep. Each is the permutation
+    ``rng.shuffle(list(range(n)))`` gives on Python 3.10-3.13, drawn
+    straight from ``rng.getrandbits`` with shuffle's Fisher-Yates draws: for
+    i = n - 1 down to 1, (i + 1).bit_length() bits, redrawn while above i."""
+    getrandbits = rng.getrandbits
+    draws = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    identity = list(range(n))
+    while True:
+        order = identity[:]
+        for i, width in draws:
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            order[i], order[j] = order[j], order[i]
+        yield order
+
+
 def _search_iteration(args):
-    """One restart: single improving moves on mask state, then exact
-    verification, costliest agent first, which changes no verdict; a
-    non-tree equilibrium comes back as (code, price)."""
+    """One restart as (find, descent moves, exact scans): single improving
+    moves on mask state in sweeps drawn by _sweep_orders, then exact
+    verification, costliest agent first, which changes no verdict. The
+    exact check reads the views of the quiet sweep that ended the descent;
+    only a descent the sweep cap stops builds fresh ones. A find is a
+    non-tree equilibrium as (code, price), else None; a restart reached
+    the exact check exactly when its scan count is non-zero."""
     n, alpha, seed, iteration = args
     rng = random.Random(_derive_seed(seed, iteration))
     buys_masks = _random_buys_masks(rng, n)
     adj = _adj_of(buys_masks)
     p, q = alpha.numerator, alpha.denominator
     full = (1 << n) - 1
-    for _ in range(4 * n * n):
-        agents = list(range(n))
-        rng.shuffle(agents)
+    moves = 0
+    views = [None] * n
+    for agents in islice(_sweep_orders(rng, n), 4 * n * n):
         for v in agents:
             # _agent_view inlined: this is the hottest loop of search.
             mask = buys_masks[v]
             cur = p * mask.bit_count() + q * bfs(adj, 1 << v, full)
-            move = _improving_move(p, q, n, v, mask, cur, _base_adj(adj, buys_masks, v))
+            base = _base_adj(adj, buys_masks, v)
+            move = _improving_move(p, q, n, v, mask, cur, base)
             if move is not None:
                 _set_purchases(adj, buys_masks, v, move[0])
+                moves += 1
                 break
+            views[v] = cur, base
         else:
             break
+    else:
+        # The cap ended a sweep that moved, so some views are stale.
+        views = [_agent_view(p, q, n, adj, buys_masks, v) for v in range(n)]
     edges = sum(m.bit_count() for m in adj) // 2
     # A disconnected profile is never Nash: buying every link beats INF.
-    if edges == n - 1 or bfs(adj, 1, full) == INF:
-        return None
-    # A quiet sweep has just found no single-link move, so the scan decides,
-    # costliest agent first: it is the likeliest to deviate.
-    views = [_agent_view(p, q, n, adj, buys_masks, v) for v in range(n)]
-    if any(_best_deviation(p, q, n, v, *views[v]) is not None
-           for v in sorted(range(n), key=lambda v: views[v][0], reverse=True)):
-        return None
-    return _encode(buys_masks), _price(alpha, n, adj, buys_masks)
+    if edges == n - 1 or any(cur == INF for cur, _ in views):
+        return None, moves, 0
+    # No single-link move is left, so the scan decides, costliest agent
+    # first: it is the likeliest to deviate.
+    scans = 0
+    for v in sorted(range(n), key=lambda v: views[v][0], reverse=True):
+        scans += 1
+        if _best_deviation(p, q, n, v, *views[v]) is not None:
+            return None, moves, scans
+    return (_encode(buys_masks), _price(alpha, n, adj, buys_masks)), moves, scans
 
 
 def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
-                              workers: int = 1) -> tuple:
+                              workers: int = 1, stats: dict | None = None) -> tuple:
     """Seeded stochastic probe for equilibria containing a cycle.
 
     Random restarts descend by single improving moves; candidates whose
@@ -672,11 +704,28 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
     proves nothing. Deterministic for a given seed, independent of worker
     count. Restarts are generated and their finds folded in as they run,
     so memory does not grow with ``iterations``.
+
+    A ``stats`` dict receives the run's work counts, the same for any
+    worker count: ``restarts``, ``descent_moves`` (single-link moves made),
+    ``candidates`` (connected non-tree profiles the descent ended on) and
+    ``exact_scans`` (best-response scans run on them).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if config.n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"search needs n <= {BEST_RESPONSE_MAX_N}, got {config.n}")
     restarts = ((config.n, config.alpha, seed, it) for it in range(iterations))
-    results = _parallel_map(_search_iteration, restarts, iterations, workers)
-    return tuple(sorted(dict(found for found in results if found is not None).items()))
+    finds = {}
+    done = moves = candidates = scans = 0
+    for find, restart_moves, restart_scans in _parallel_map(
+            _search_iteration, restarts, iterations, workers):
+        done += 1
+        moves += restart_moves
+        candidates += restart_scans > 0
+        scans += restart_scans
+        if find is not None:
+            finds[find[0]] = find[1]
+    if stats is not None:
+        stats.update(restarts=done, descent_moves=moves, candidates=candidates,
+                     exact_scans=scans)
+    return tuple(sorted(finds.items()))

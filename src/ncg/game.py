@@ -23,6 +23,10 @@ from .errors import SizeGuard
 INF = float("inf")
 # Checked before anything of size n is allocated; far above any exact use.
 MAX_AGENTS = 4096
+# Bits of alpha's numerator and denominator. Scaled costs such as
+# p*k + q*e then stay below 2^1024, so adding them to INF saturates
+# instead of overflowing the float.
+ALPHA_MAX_BITS = 1000
 
 
 # NamedTuple's _make, which _replace calls, skips __new__; this one goes
@@ -52,6 +56,10 @@ class GameConfig(_GameConfigFields):
         alpha = Fraction(alpha)
         if alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
+        bits = max(alpha.numerator.bit_length(), alpha.denominator.bit_length())
+        if bits > ALPHA_MAX_BITS:
+            raise ValueError(f"alpha's numerator and denominator must have at most "
+                             f"{ALPHA_MAX_BITS} bits, got {bits}")
         return super().__new__(cls, n, alpha)
 
 

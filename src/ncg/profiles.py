@@ -53,9 +53,10 @@ def parse_profile(text: str) -> tuple[GameConfig, StrategyProfile]:
         alpha = Fraction(parts[1])
     except (ValueError, ZeroDivisionError):
         raise BadRational(f"unparseable rational {parts[1]!r}", no) from None
-    if alpha <= 0:
-        raise BadRational(f"alpha must be > 0, got {alpha}", no)
-    config = GameConfig(n, alpha)  # bounds n before buys is allocated
+    try:
+        config = GameConfig(n, alpha)  # bounds n before buys is allocated
+    except ValueError as exc:  # n is a positive int here, so alpha is out of range
+        raise BadRational(str(exc), no) from None
 
     buys: list[set] = [set() for _ in range(n)]
     seen: set[tuple[int, int]] = set()

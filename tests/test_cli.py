@@ -353,6 +353,19 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_search_work_counts_independent_of_workers(self, tmp_path):
+        stats = []
+        for workers in (1, 2):
+            out = tmp_path / f"s{workers}.csv"
+            assert main(["search", "--n", "5", "--alpha", "1/2", "--seed", "11",
+                         "--iters", "60", "--workers", str(workers),
+                         "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"s{workers}.csv.manifest.json").read_text())
+            stats.append(manifest["extra"]["stats"])
+        assert stats[0] == stats[1]
+        assert stats[0] == {"restarts": 60, "descent_moves": 143,
+                            "candidates": 10, "exact_scans": 22}
+
     def test_dynamics_repeat_byte_identical(self, tmp_path):
         outs = []
         for i in range(2):
@@ -513,7 +526,7 @@ def test_serialized_profiles_from_rows_verify(tmp_path):
 # out-of-range or oversized ones. None stands for a flag that takes no value.
 _FLAG_VALUES = {
     "--n": ["1", "2", "3", "4", "5", "-1", "0", "x", str(MAX_AGENTS + 1)],
-    "--alpha": ["1/2", "1", "2", "5/2", "25", "1/0", "abc", "0", "-1"],
+    "--alpha": ["1/2", "1", "2", "5/2", "25", "1/0", "abc", "0", "-1", "1e400", "1e-400"],
     "--workers": ["1", "2", "0", "-3"],
     "--seed": ["0", "7", "-3"],
     "--in": ["p.ncg", "p.ncg", "p.ncg", "missing.ncg", "."],
@@ -524,7 +537,42 @@ _FLAG_VALUES = {
     "--witnesses": [None],
 }
 _BAD_LINES = ["buy 0 0", "buy 0 9", "buy 0", "n x", "n 0", "alpha 1/0",
-              "alpha -1", "ncg v2", f"n {MAX_AGENTS + 1}", "buy 1 0"]
+              "alpha -1", "ncg v2", f"n {MAX_AGENTS + 1}", "buy 1 0", "alpha 1e400"]
+
+
+# 2^1000 - 1 and its inverse: the largest numerator and denominator alpha may have.
+_ALPHA_LIMITS = [str(2 ** 1000 - 1), f"1/{2 ** 1000 - 1}"]
+_ALPHA_MODES = [["enumerate"], ["search", "--iters", "3"], ["poa"], ["optimum"],
+                ["dynamics", "--budget", "5"]]
+_PROFILE_MODES = [["verify"], ["best-response", "--agent", "0"], ["dynamics"], ["audit"]]
+
+
+class TestAlphaBitBound:
+    """An alpha past the bit bound is refused, not an OverflowError."""
+
+    @pytest.mark.parametrize("mode", _ALPHA_MODES)
+    @pytest.mark.parametrize("alpha", ["1e400", "1e-400"])
+    def test_flag_exits_3(self, tmp_path, capsys, mode, alpha):
+        out = str(tmp_path / "x.csv")
+        assert main(mode + ["--n", "4", "--alpha", alpha, "--out", out]) == 3
+        assert "at most 1000 bits" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("mode", _PROFILE_MODES)
+    def test_profile_line_exits_4(self, tmp_path, capsys, mode):
+        path = write(tmp_path, "p.ncg", "ncg v1\nn 4\nalpha 1e400\nbuy 0 1\nbuy 2 3\n")
+        assert main(mode + ["--in", path, "--out", str(tmp_path / "x.csv")]) == 4
+        assert "line 3: alpha's numerator and denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", _ALPHA_LIMITS)
+    def test_every_mode_runs_at_the_bound(self, tmp_path, alpha):
+        # A disconnected profile: every agent's cost is INF plus alpha's part.
+        path = write(tmp_path, "p.ncg", f"ncg v1\nn 4\nalpha {alpha}\nbuy 0 1\nbuy 2 3\n")
+        out = str(tmp_path / "x.csv")
+        for mode in _PROFILE_MODES:
+            assert main(mode + ["--in", path, "--out", out]) == 0, mode
+        for mode in _ALPHA_MODES:
+            assert main(mode + ["--n", "4", "--alpha", alpha, "--out", out]) == 0, mode
 
 
 def _flag(draw, flag):

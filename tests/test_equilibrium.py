@@ -813,6 +813,111 @@ _SEARCH_N10_FINDS = (
 )
 
 
+# search_nontree_equilibria(GameConfig(n, alpha), seed=100 * n + alpha.numerator,
+# iterations=60) per (n, alpha), as ((descent_moves, candidates, exact_scans),
+# finds); each find is (code, edges, social cost, max agent cost).
+_SEARCH_SMALL_PINS = {
+    (5, Fraction(1, 2)): ((208, 5, 21), (
+        ("0120101002", 5, Fraction(25, 2), 3),
+        ("0220021020", 5, Fraction(25, 2), 3),
+        ("1100002102", 5, Fraction(25, 2), 3),
+        ("2200020011", 5, Fraction(25, 2), 3),
+    )),
+    (5, Fraction(1)): ((118, 8, 36), (
+        ("0001101201", 5, 17, 4),
+        ("0120021020", 5, 15, 4),
+        ("0120101002", 5, 15, 4),
+        ("0202221000", 5, 17, 4),
+        ("0222202000", 5, 17, 4),
+        ("1100002102", 5, 15, 4),
+        ("2001220011", 6, 16, 4),
+    )),
+    (5, Fraction(2)): ((175, 0, 0), ()),
+    (6, Fraction(1, 2)): ((300, 24, 104), (
+        ("000022000022201", 6, 18, Fraction(7, 2)),
+        ("001122102020000", 7, Fraction(31, 2), 3),
+        ("002222202010000", 7, Fraction(31, 2), 3),
+        ("010220102100200", 7, Fraction(31, 2), 3),
+        ("020102001200201", 7, Fraction(31, 2), 3),
+        ("021011220000002", 7, Fraction(31, 2), 3),
+        ("100100102021100", 7, Fraction(31, 2), 3),
+        ("100201001200102", 7, Fraction(31, 2), 3),
+        ("102002020001022", 7, Fraction(31, 2), 3),
+        ("102010000200012", 6, 18, Fraction(7, 2)),
+        ("110000001220012", 7, Fraction(31, 2), 3),
+        ("120000220202002", 7, Fraction(31, 2), 3),
+        ("200102200002012", 7, Fraction(31, 2), 3),
+        ("200211000120020", 7, Fraction(31, 2), 3),
+        ("201200001222000", 7, Fraction(31, 2), 3),
+        ("210000002220012", 7, Fraction(31, 2), 3),
+    )),
+    (6, Fraction(1)): ((194, 21, 106), (
+        ("000020001102201", 6, 21, 4),
+        ("000201010200102", 6, 21, 4),
+        ("001122102020000", 7, 19, 4),
+        ("002202202010000", 6, 21, 4),
+        ("010010002220012", 7, 21, 4),
+        ("020000220202002", 6, 21, 4),
+        ("020102001200201", 7, 19, 4),
+        ("022112220000000", 7, 21, 4),
+        ("102002020001022", 7, 19, 4),
+        ("102010000200012", 6, 21, 5),
+        ("102201000001011", 7, 19, 4),
+        ("110000001220012", 7, 19, 4),
+        ("121020010000002", 6, 21, 4),
+        ("200020020212000", 6, 21, 4),
+        ("200022000020201", 6, 21, 5),
+        ("201200001022000", 6, 21, 4),
+        ("220210000100020", 6, 21, 4),
+    )),
+    (6, Fraction(2)): ((240, 0, 0), ()),
+    (7, Fraction(1, 2)): ((604, 19, 64), (
+        ("000002202210000200020", 7, Fraction(43, 2), Fraction(7, 2)),
+        ("002000200001100100220", 7, Fraction(43, 2), Fraction(7, 2)),
+        ("100000202010210200000", 7, Fraction(43, 2), Fraction(7, 2)),
+        ("200122100002202010000", 9, Fraction(37, 2), 3),
+        ("201000000221001220010", 9, Fraction(37, 2), 3),
+        ("202120100200000000001", 7, Fraction(43, 2), Fraction(7, 2)),
+    )),
+    (7, Fraction(1)): ((404, 15, 75), (
+        ("000010010120001000012", 7, 25, 4),
+        ("000021000102000120010", 7, 26, 4),
+        ("000101000011001200002", 7, 25, 4),
+        ("000101001010001002001", 7, 25, 4),
+        ("001000002022000222000", 7, 25, 4),
+        ("002201000021000022000", 7, 25, 4),
+        ("100000111000010000011", 7, 25, 5),
+        ("202000100001121000000", 7, 25, 5),
+        ("202101000000001001001", 7, 25, 4),
+        ("210200000001010000021", 7, 26, 4),
+    )),
+    (7, Fraction(2)): ((385, 0, 0), ()),
+    (8, Fraction(1, 2)): ((690, 34, 112), (
+        ("0000110202020001000110200022", 11, Fraction(43, 2), 3),
+        ("0002000000020001000100210202", 8, 25, Fraction(7, 2)),
+        ("0121101020000000000002000002", 8, 25, 4),
+        ("0220021000002000001002000010", 8, 25, Fraction(7, 2)),
+        ("1220200002020000010002001011", 11, Fraction(43, 2), 3),
+        ("2000200222002001000010010201", 11, Fraction(43, 2), 3),
+        ("2002202100220000000200000000", 8, 25, Fraction(7, 2)),
+        ("2100022002101000000002000000", 8, 25, Fraction(7, 2)),
+    )),
+    (8, Fraction(1)): ((456, 28, 104), (
+        ("0000002100001202000002001011", 9, 29, 4),
+        ("0000002101122000000010000001", 8, 29, 5),
+        ("0000010001000000010001011202", 8, 29, 4),
+        ("0000100010000001000120100102", 8, 29, 4),
+        ("0001100001000002001000222000", 8, 29, 4),
+        ("0002000200000220010000010220", 8, 30, 5),
+        ("0201101022000000000002000002", 8, 30, 5),
+        ("0220021000002000001002000010", 8, 29, 4),
+        ("2000012000000200100002120010", 9, 30, 4),
+        ("2010101000000002000000001210", 8, 29, 5),
+    )),
+    (8, Fraction(2)): ((637, 0, 0), ()),
+}
+
+
 class TestSearch:
     def test_high_alpha_probe_comes_back_empty(self):
         found = search_nontree_equilibria(GameConfig(6, Fraction(25)),
@@ -873,6 +978,73 @@ class TestSearch:
         assert [(code, p.edges, p.social_cost, p.max_agent_cost)
                 for code, p in found] == list(_SEARCH_N10_FINDS)
         assert not any(p.is_tree for _, p in found)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_n10_work_counts(self, workers):
+        stats = {}
+        search_nontree_equilibria(GameConfig(10, Fraction(1)), seed=761901386,
+                                  iterations=200, workers=workers, stats=stats)
+        assert stats == {"restarts": 200, "descent_moves": 2961, "candidates": 115,
+                         "exact_scans": 513}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, alpha", list(_SEARCH_SMALL_PINS))
+    def test_pinned_small_restarts(self, n, alpha, workers):
+        (moves, candidates, scans), finds = _SEARCH_SMALL_PINS[n, alpha]
+        stats = {}
+        found = search_nontree_equilibria(GameConfig(n, alpha), seed=100 * n + alpha.numerator,
+                                          iterations=60, workers=workers, stats=stats)
+        assert [(code, p.edges, p.social_cost, p.max_agent_cost)
+                for code, p in found] == list(finds)
+        assert stats == {"restarts": 60, "descent_moves": moves,
+                         "candidates": candidates, "exact_scans": scans}
+
+    def test_sweep_orders_are_shuffles(self):
+        # Each sweep's order is the permutation random.shuffle gives.
+        for seed in range(200):
+            for n in range(1, 21):
+                rng = random.Random(seed)
+                orders = equilibrium._sweep_orders(random.Random(seed), n)
+                for _ in range(2):
+                    expected = list(range(n))
+                    rng.shuffle(expected)
+                    assert next(orders) == expected
+
+    def test_quiet_sweep_views_reach_the_exact_check(self, monkeypatch):
+        # Descents that end in a quiet sweep build no view for the exact check.
+        views = []
+        agent_view = equilibrium._agent_view
+        monkeypatch.setattr(equilibrium, "_agent_view",
+                            lambda *args: views.append(args[-1]) or agent_view(*args))
+        finds = [equilibrium._search_iteration((6, Fraction(1), 5, it)) for it in range(40)]
+        assert any(scans for _, _, scans in finds)
+        assert views == []
+
+    def test_capped_descent_decided_on_fresh_views(self, monkeypatch):
+        # The first n - 1 agents of the first sweep keep their random
+        # strategies, then the first agent of every sweep moves to its
+        # directed 5-cycle strategy, so no sweep is quiet and the 4n^2 cap
+        # ends the descent. The stored views of those n - 1 agents are of
+        # the random start; the cycle, Nash at alpha = 1, is found only if
+        # the exact check reads fresh ones.
+        n, cfg = 5, GameConfig(5, Fraction(1))
+        cycle = directed_cycle_profile(n)
+        target = _buys_masks(cycle)
+        calls = []
+
+        def always_moves(p, q, n, v, cur_mask, cur_scaled, base):
+            calls.append(v)
+            return None if len(calls) < n else (target[v], 1, 0)
+
+        views = []
+        agent_view = equilibrium._agent_view
+        monkeypatch.setattr(equilibrium, "_improving_move", always_moves)
+        monkeypatch.setattr(equilibrium, "_agent_view",
+                            lambda *args: views.append(args[-1]) or agent_view(*args))
+        find, moves, scans = equilibrium._search_iteration((n, cfg.alpha, 3, 0))
+        assert moves == 4 * n * n and sorted(views) == list(range(n))
+        assert is_nash(cfg, cycle).is_nash and scans == n
+        assert find is not None and find[0] == cycle.ownership_code()
 
 
 def _has_double_purchase(profile):

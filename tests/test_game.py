@@ -10,8 +10,8 @@ import ncg
 import oracles
 from conftest import alphas, strategy_profiles
 from ncg.errors import SizeGuard
-from ncg.game import (INF, MAX_AGENTS, GameConfig, OwnedGraph, StrategyProfile,
-                      _buys_masks, _decode, _digit_table, _encode, agent_cost,
+from ncg.game import (ALPHA_MAX_BITS, INF, MAX_AGENTS, GameConfig, OwnedGraph,
+                      StrategyProfile, _buys_masks, _decode, _digit_table, _encode, agent_cost,
                       all_pairs_distances, build_graph, metrics, social_cost)
 
 
@@ -38,6 +38,27 @@ class TestConfigAndProfileInvariants:
     def test_bool_and_float_inputs_rejected(self, n, alpha):
         with pytest.raises(ValueError):
             GameConfig(n, alpha)
+
+    def test_alpha_bit_bound(self):
+        # More bits would overflow the float INF that a disconnected agent's
+        # scaled cost p*k + q*e is added to.
+        big = 2 ** ALPHA_MAX_BITS - 1
+        for alpha in (Fraction(big), Fraction(1, big), Fraction(big, big - 2)):
+            assert GameConfig(3, alpha).alpha == alpha
+        for alpha in (Fraction(big + 1), Fraction(1, big + 1), 10 ** 400,
+                      Fraction(1, 10 ** 400), Fraction("1e400")):
+            with pytest.raises(ValueError, match=f"at most {ALPHA_MAX_BITS} bits"):
+                GameConfig(3, alpha)
+        with pytest.raises(ValueError, match="bits"):
+            GameConfig(3, Fraction(1))._replace(alpha=Fraction(10 ** 400))
+
+    @pytest.mark.parametrize("alpha", [Fraction(2 ** ALPHA_MAX_BITS - 1),
+                                       Fraction(1, 2 ** ALPHA_MAX_BITS - 1)])
+    def test_costs_at_the_alpha_bound_saturate(self, alpha):
+        cfg = GameConfig(4, alpha)
+        cut = StrategyProfile.from_sets([{1}, set(), {3}, set()])
+        assert agent_cost(cfg, cut, 0) == (alpha, INF, INF)
+        assert social_cost(cfg, cut) == INF
 
     def test_agent_count_bound(self):
         assert GameConfig(MAX_AGENTS, Fraction(1)).n == MAX_AGENTS

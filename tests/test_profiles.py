@@ -41,6 +41,8 @@ def test_blank_lines_ignored():
     ("ncg v1\nn 2\nalpha zero\n", BadRational, 3),
     ("ncg v1\nn 2\nalpha 1/0\n", BadRational, 3),
     ("ncg v1\nn 2\nalpha -3\n", BadRational, 3),
+    ("ncg v1\nn 2\nalpha 1e400\n", BadRational, 3),
+    ("ncg v1\nn 2\nalpha 1e-400\n", BadRational, 3),
     ("ncg v1\nn 2\nalpha 1\nbuy 0 0\n", BadVertexIndex, 4),
     ("ncg v1\nn 2\nalpha 1\nbuy 0 5\n", BadVertexIndex, 4),
     ("ncg v1\nn 2\nalpha 1\nbuy 0 x\n", BadVertexIndex, 4),
