@@ -550,7 +550,7 @@ def _check_enumeration_size(n: int) -> None:
         raise SizeGuard(f"exhaustive enumeration needs n <= {ENUMERATION_MAX_N}, got {n}")
 
 
-def enumerate_equilibria(config: GameConfig, classes=None) -> EnumerationResult:
+def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
     """All Nash equilibria over single-ownership profiles (exact, exhaustive).
 
     The generator visits one representative per isomorphism class of
@@ -565,14 +565,10 @@ def enumerate_equilibria(config: GameConfig, classes=None) -> EnumerationResult:
     (checked separately in the test suite). The result carries the
     labeled equilibria as ownership codes, sorted, with ``prices`` parallel
     to them; no profile is built. The work runs in this process.
-    ``classes`` is ``connected_classes(config.n)`` for a caller that holds
-    it already; it is built here otherwise.
     """
     n = config.n
     _check_enumeration_size(n)
-    if classes is None:
-        classes = connected_classes(n)
-    orbits, stats = _class_orbits(n, config.alpha, classes)
+    orbits, stats = _class_orbits(n, config.alpha, connected_classes(n))
     labeled = sorted((code, price) for codes, price in orbits for code in codes)
     costs = [price.social_cost for _, price in orbits]
     tree_count = sum(len(codes) for codes, price in orbits if price.is_tree)

@@ -103,6 +103,7 @@ class StrategyProfile(_StrategyProfileFields):
         return len(self.buys)
 
     def with_strategy(self, v: int, strategy: Iterable[int]) -> "StrategyProfile":
+        _check_agent(self.n, v)
         new = list(self.buys)
         new[v] = tuple(sorted(set(strategy)))
         return StrategyProfile(tuple(new))
@@ -121,7 +122,7 @@ class StrategyProfile(_StrategyProfileFields):
 
     @classmethod
     def from_ownership_code(cls, n: int, code: str) -> "StrategyProfile":
-        if len(code) != n * (n - 1) // 2 or any(c not in "0123" for c in code):
+        if n < 0 or len(code) != n * (n - 1) // 2 or any(c not in "0123" for c in code):
             raise ValueError(f"bad ownership code for n={n}: {code!r}")
         return cls(tuple(_mask_to_tuple(m) for m in _decode(n, code)))
 

@@ -2,8 +2,9 @@
 
 The closed-form optimum compares the star, (n-1)*alpha + 2n - 1, with the
 complete graph, alpha*n*(n-1)/2 + n; the crossover sits exactly at
-alpha = 2/(n-2). A brute-force twin minimizes social cost over every graph,
-one per isomorphism class, and serves as the oracle for the closed form.
+alpha = 2/(n-2). The price of anarchy reads the closed form. A brute-force
+twin minimizes social cost over every graph, one per isomorphism class, and
+is the tests' reference for the closed form.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotEquilibrium, NotTree, SizeGuard
+from .errors import NotEquilibrium, NotTree
 from .game import (GameConfig, StrategyProfile, _check_size, _decode,
                    _mask_to_tuple, agent_cost, all_pairs_distances, bfs,
                    build_graph, metrics, social_cost)
 from .equilibrium import (_check_enumeration_size, _orbit, enumerate_equilibria,
                           is_nash)
 from .isomorphism import connected_classes, relabelings
-
-OPTIMUM_BRUTEFORCE_MAX_N = 6
 
 
 class OptimumResult(NamedTuple):
@@ -72,6 +71,16 @@ def clique_profile(n: int) -> StrategyProfile:
 def optimum_analytic(config: GameConfig) -> OptimumResult:
     """Closed-form social optimum: the cheaper of star and complete graph.
 
+    This is the exact optimum for every n. A disconnected graph costs INF.
+    A connected graph whose universal vertices number j has at least
+    j(n - j) + j(j - 1)/2 edges, and every other vertex has eccentricity at
+    least 2, so its social cost is at least
+    f(j) = alpha*(j(n - j) + j(j - 1)/2) + 2n - j. f is concave in j, so
+    over 1 <= j <= n its minimum sits at j = 1, the star, or at j = n, the
+    complete graph, both of which attain f. At j = 0 the graph has at
+    least n - 1 edges and costs at least alpha*(n - 1) + 2n, more than
+    the star.
+
     At the boundary alpha = 2/(n-2) both agree and the star is returned.
     n <= 2 is handled directly (empty graph / the single forced edge).
     """
@@ -89,7 +98,7 @@ def optimum_analytic(config: GameConfig) -> OptimumResult:
     return OptimumResult(cost=clique_cost, witness=clique_profile(n), method="analytic")
 
 
-def optimum_bruteforce(config: GameConfig, classes=None) -> OptimumResult:
+def optimum_bruteforce(config: GameConfig) -> OptimumResult:
     """Exact minimum of social cost over every graph on n vertices.
 
     Who owns an edge never changes the social cost, and neither does a
@@ -97,17 +106,14 @@ def optimum_bruteforce(config: GameConfig, classes=None) -> OptimumResult:
     connected graphs covers the whole strategy space (a disconnected graph
     costs INF). The witness is the labeled copy of an optimal class with
     the smallest edge bitmask, bit i for the i-th vertex pair in
-    lexicographic order; the smaller endpoint pays for each edge.
-    ``classes`` is ``connected_classes(config.n)`` for a caller that holds
-    it already; it is built here otherwise.
+    lexicographic order; the smaller endpoint pays for each edge. It
+    shares enumeration's size guard.
     """
     n = config.n
-    if n > OPTIMUM_BRUTEFORCE_MAX_N:
-        raise SizeGuard(
-            f"brute-force optimum needs n <= {OPTIMUM_BRUTEFORCE_MAX_N}, got {n}")
+    _check_enumeration_size(n)
     full = (1 << n) - 1
     best_cost, optimal = None, []
-    for adj in connected_classes(n) if classes is None else classes:
+    for adj in connected_classes(n):
         edge_count = sum(m.bit_count() for m in adj) // 2
         cost = config.alpha * edge_count + sum(bfs(adj, 1 << v, full) for v in range(n))
         if best_cost is None or cost < best_cost:
@@ -130,27 +136,19 @@ def price_of_anarchy(config: GameConfig, prices=None) -> PoAReport:
 
     ``prices`` are the ``ProfilePrice`` records of the equilibria to
     consider, as ``EnumerationResult.prices`` holds them. Without them this
-    enumerates exhaustively (and cross-checks the closed-form optimum
-    against brute force); both read one list of connected classes, built
-    after the size guard. When no equilibrium exists the ratio is reported
-    as undefined (None), never as 0 or infinity.
+    enumerates exhaustively. The optimum is the closed form, which is exact
+    (see ``optimum_analytic``). When no equilibrium exists the ratio is
+    reported as undefined (None), never as 0 or infinity.
     """
     exhaustive = prices is None
     if exhaustive:
-        _check_enumeration_size(config.n)
-        classes = connected_classes(config.n)
         # Priced once per isomorphism class by the enumeration.
-        result = enumerate_equilibria(config, classes)
+        result = enumerate_equilibria(config)
         worst, considered = result.worst_cost, len(result.codes)
     else:
         worst = max((p.social_cost for p in prices), default=None)
         considered = len(prices)
     opt = optimum_analytic(config)
-    if exhaustive and config.n <= OPTIMUM_BRUTEFORCE_MAX_N:
-        brute = optimum_bruteforce(config, classes)
-        if brute.cost != opt.cost:
-            raise AssertionError(
-                f"optimum mismatch: analytic {opt.cost} vs brute force {brute.cost}")
     if worst is None:
         poa = None
     elif opt.cost == 0:  # n == 1: the empty profile is both optimum and equilibrium

@@ -100,7 +100,8 @@ class TestOwnershipCodec:
             assert digit[u][v] == d and digit[v][u] == "0213"[int(d)]
 
     @pytest.mark.parametrize("n, code", [(3, "30"), (3, "3010"), (1, "0"), (0, "1"),
-                                         (3, "304"), (3, "3-1"), (2, "x"), (4, "00 000")])
+                                         (3, "304"), (3, "3-1"), (2, "x"), (4, "00 000"),
+                                         (-1, "0"), (-2, "000")])
     def test_rejects_wrong_length_or_digit(self, n, code):
         with pytest.raises(ValueError, match="bad ownership code"):
             StrategyProfile.from_ownership_code(n, code)
@@ -346,6 +347,7 @@ _AGENT_CALLS = {
     "min_cycle_through_edge": lambda cfg, p, v: ncg.min_cycle_through_edge(
         build_graph(p), (v, 0)),
     "is_min_cycle": lambda cfg, p, v: ncg.is_min_cycle(build_graph(p), [v, 0, 1, 2]),
+    "with_strategy": lambda cfg, p, v: p.with_strategy(v, [0]),
 }
 
 

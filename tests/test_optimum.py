@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import directed_cycle_profile, profiles_of
@@ -38,6 +39,30 @@ class TestOptimumAnalytic:
                 cfg = GameConfig(n, alpha)
                 r = optimum_analytic(cfg)
                 assert social_cost(cfg, r.witness) == r.cost
+
+
+@pytest.fixture(scope="module")
+def atlas_costs():
+    """(edge count, eccentricity sum) of every connected atlas graph, by
+    order: networkx's ``graph_atlas_g()`` lists every graph on up to 7
+    vertices, one per isomorphism class."""
+    costs = {}
+    for g in nx.graph_atlas_g():
+        if len(g) and nx.is_connected(g):
+            costs.setdefault(len(g), []).append(
+                (g.number_of_edges(), sum(nx.eccentricity(g).values())))
+    return costs
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_analytic_is_the_minimum_over_the_atlas(atlas_costs, n):
+    # An oracle that shares no code with the package and reaches n = 7,
+    # past brute force's size guard.
+    assert len(atlas_costs[n]) == [1, 1, 2, 6, 21, 112, 853][n - 1]
+    boundary = [Fraction(2, n - 2)] if n >= 3 else []
+    for alpha in ALPHA_GRID + boundary:
+        best = min(alpha * edges + usage for edges, usage in atlas_costs[n])
+        assert best == optimum_analytic(GameConfig(n, alpha)).cost
 
 
 def _labeled_graphs(n):
@@ -132,6 +157,14 @@ class TestPriceOfAnarchy:
         assert not report.exhaustive
         assert report.equilibria_considered == 10
         assert report.worst_equilibrium_cost == max(p.social_cost for p in prices)
+
+    def test_runs_no_brute_force(self, monkeypatch, tmp_path):
+        def refuse(config):
+            raise AssertionError("the price of anarchy ran the brute-force optimum")
+        monkeypatch.setattr(optimum, "optimum_bruteforce", refuse)
+        report = price_of_anarchy(GameConfig(5, Fraction(2)))
+        assert (report.worst_equilibrium_cost, report.optimum_cost) == (24, 17)
+        assert main(["poa", "--n", "5", "--alpha", "2", "--out", str(tmp_path / "poa.csv")]) == 0
 
     def test_empty_equilibrium_list_reports_undefined(self):
         report = price_of_anarchy(GameConfig(5, Fraction(25)), prices=[])
