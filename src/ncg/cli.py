@@ -2,15 +2,16 @@
 
 Every run writes one CSV (schema fixed per mode, rows fully ordered) and a
 JSON manifest alongside it recording the configuration, the CSV digest and
-the wall time. Identical configuration and seed reproduce byte-identical
-CSVs regardless of worker count; only manifest timestamps differ.
+the wall time. Every mode runs in this process. Identical configuration
+and seed reproduce byte-identical CSVs; only manifest timestamps differ.
 
 ``MODE_TABLE`` is the one list of modes: each entry holds the mode's row
-builder, CSV columns, help text and the flags it reads. A mode accepts its
-own flags plus ``--out`` and ``--workers``, which change where the output
-goes and how the work runs, never what is computed; any other flag is a
-usage error. An absent flag takes its ``ExperimentConfig`` default, and
-``run`` refuses a config that sets a field its mode does not read.
+builder, CSV columns, help text and the flags it reads. A mode accepts
+its own flags plus ``--out``, which says where the output goes, and
+``--workers``, which is validated and recorded in the manifest but read
+by no mode; any other flag is a usage error. An absent flag takes its
+``ExperimentConfig`` default, and ``run`` refuses a config that sets a
+field its mode does not read.
 
 Exit codes (``exit_status``, which the scripts share): 0 success (including
 verify reporting "not an equilibrium", and a run whose reader closed stdout
@@ -235,8 +236,7 @@ def _rows_search(config):
     game = _game_config(config)
     stats: dict = {}
     found = search_nontree_equilibria(game, seed=config.seed,
-                                      iterations=config.iterations,
-                                      workers=config.workers, stats=stats)
+                                      iterations=config.iterations, stats=stats)
     return _profile_rows(game, found), {"found": len(found), "stats": stats}
 
 
@@ -293,7 +293,7 @@ class Mode(NamedTuple):
     rows: Callable  # ExperimentConfig -> (CSV row dicts, manifest extra)
     columns: list
     help: str
-    flags: tuple  # what it reads besides --out and --workers
+    flags: tuple  # its own flags; every mode also takes --out and --workers
 
 
 _PROFILE_COLUMNS = ["alpha", "n", "profile_id", "edges", "is_tree",

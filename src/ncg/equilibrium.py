@@ -1,12 +1,12 @@
 """Exact equilibrium verification, enumeration, dynamics, and search.
 
-Every exact per-agent decision reads one primitive, _best_response: the
-agent's cheapest purchase set, found by scanning all 2^(n-1) purchase
-sets, so results are exact but only feasible at desk scale (guarded).
-Each candidate's BFS stops as soon as the candidate can no longer beat
-the best cost so far, and a size where only usage 1 can still win is
-decided by one OR per set, not a BFS. Costs compare as integers derived
-from the exact rational alpha, never floats.
+Every exact per-agent decision reads one primitive, _scan_best_response:
+the agent's cheapest purchase set below a bound, found by scanning all
+2^(n-1) purchase sets, so results are exact but only feasible at desk
+scale (guarded). Each candidate's BFS stops as soon as the candidate can
+no longer beat the best cost so far, and a size where only usage 1 can
+still win is decided by one OR per set, not a BFS. Costs compare as
+integers derived from the exact rational alpha, never floats.
 
 Every per-agent decision starts from one _agent_view, the agent's
 current cost and the adjacency without its purchases. Enumeration's
@@ -19,7 +19,8 @@ decided by ball cover: the kept links plus u bring every vertex within
 the group's hop limit h exactly when u lies within h hops of every
 vertex the kept links miss; at h <= 1 the balls come from the masks, not
 a BFS. Dynamics and search update only the adjacency rows a move changes,
-search streams its restarts and verifies a candidate costliest agent first.
+search runs its restarts one after another in this process and verifies a
+candidate costliest agent first.
 Each descent sweep's agent order is drawn from the restart RNG's bits,
 the permutation random.shuffle gives on Python 3.10-3.13, and the exact
 check reads the views of the quiet sweep that ended the descent.
@@ -27,7 +28,6 @@ check reads the views of the quiet sweep that ended the descent.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations, islice
@@ -107,8 +107,8 @@ class EnumerationResult(NamedTuple):
 
 def _derive_seed(seed: int, stream: int = 0) -> int:
     """SplitMix64-style mixer; every stochastic component seeds a fresh
-    ``random.Random`` from this, so runs are reproducible and independent
-    of how work is split across workers."""
+    ``random.Random`` from this, so runs are reproducible and each search
+    restart depends only on the seed and its own index."""
     mask = (1 << 64) - 1
     x = (seed * 0x9E3779B97F4A7C15 + stream * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & mask
     x ^= x >> 30
@@ -173,7 +173,10 @@ def _scan_best_response(p: int, q: int, base_adj, v: int, n: int, bound):
     triple is exact. A size whose hop limit is 0 when it starts can win only
     at usage 1, for the first S with ring | S == V: one OR per set, in C.
     The only exhaustive scan; it enforces BEST_RESPONSE_MAX_N, as does
-    search_nontree_equilibria. _best_response is its one caller.
+    search_nontree_equilibria. From _agent_view's (cur, base), the bound
+    cur + 1 admits v's own set, so the best response always comes back and
+    improves on v's set exactly when p*k + q*e < cur; the bound cur gives
+    the cheapest strictly improving set, or None at best response.
     """
     if n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"exhaustive best response needs n <= {BEST_RESPONSE_MAX_N}, got {n}")
@@ -299,27 +302,12 @@ def _agent_view(p: int, q: int, n: int, adj, buys_masks, v: int) -> tuple:
     return cur, _base_adj(adj, buys_masks, v)
 
 
-def _best_response(p: int, q: int, n: int, v: int, cur, base):
-    """(mask, k, e): v's (size, lex)-first cheapest purchase set, scaled as
-    in _scan_best_response, from _agent_view's (``cur``, ``base``). The
-    bound cur + 1 admits v's own set, so a set always comes back; it
-    improves on v's set exactly when p*k + q*e < cur.
-    """
-    return _scan_best_response(p, q, base, v, n, cur + 1)
-
-
-def _best_deviation(p: int, q: int, n: int, v: int, cur, base):
-    """v's cheapest strictly improving set as (mask, k, e), or None at best response."""
-    mask, k, e = _best_response(p, q, n, v, cur, base)
-    return (mask, k, e) if p * k + q * e < cur else None
-
-
 def _content(p: int, q: int, n: int, adj, buys_masks, v: int) -> bool:
     """True when v has no strictly improving move: no single-link move,
     then no set at all, both read off one _agent_view."""
     cur, base = _agent_view(p, q, n, adj, buys_masks, v)
     return (_improving_move(p, q, n, v, buys_masks[v], cur, base) is None
-            and _best_deviation(p, q, n, v, cur, base) is None)
+            and _scan_best_response(p, q, base, v, n, cur) is None)
 
 
 def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
@@ -332,7 +320,8 @@ def best_response_exact(config: GameConfig, profile: StrategyProfile, v: int):
     n = config.n
     _check_agent(n, v)
     p, q = config.alpha.numerator, config.alpha.denominator
-    mask, k, e = _best_response(p, q, n, v, *_agent_view(p, q, n, adj, buys_masks, v))
+    cur, base = _agent_view(p, q, n, adj, buys_masks, v)
+    mask, k, e = _scan_best_response(p, q, base, v, n, cur + 1)
     return _mask_to_tuple(mask), config.alpha * k + e
 
 
@@ -344,7 +333,7 @@ def is_nash(config: GameConfig, profile: StrategyProfile) -> EquilibriumReport:
     best = []
     for v in range(n):
         cur, base = _agent_view(p, q, n, adj, buys_masks, v)
-        mask, k, e = _best_response(p, q, n, v, cur, base)
+        mask, k, e = _scan_best_response(p, q, base, v, n, cur + 1)
         if p * k + q * e < cur:
             old = config.alpha * len(profile.buys[v]) + eccentricity(adj, v, n)
             witness = DeviationWitness(v, profile.buys[v], _mask_to_tuple(mask),
@@ -417,12 +406,13 @@ def best_response_dynamics(config: GameConfig, initial: StrategyProfile,
     for _ in range(budget):
         agent = rng.randrange(n) if rng is not None else position % n
         position += 1
-        move = _best_deviation(p, q, n, agent, *_agent_view(p, q, n, adj, buys_masks, agent))
+        cur, base = _agent_view(p, q, n, adj, buys_masks, agent)
+        move = _scan_best_response(p, q, base, agent, n, cur)
         if move is not None:
             mask, k, e = move
-            cur = alpha * buys_masks[agent].bit_count() + eccentricity(adj, agent, n)
+            old = alpha * buys_masks[agent].bit_count() + eccentricity(adj, agent, n)
             _set_purchases(adj, buys_masks, agent, mask)
-            steps.append(DynamicsStep(len(steps), agent, cur, alpha * k + e,
+            steps.append(DynamicsStep(len(steps), agent, old, alpha * k + e,
                                       _mask_to_tuple(mask)))
             quiet_agents = set()
         else:
@@ -582,34 +572,6 @@ def enumerate_equilibria(config: GameConfig) -> EnumerationResult:
         canonical_forms=tuple(sorted(codes[0] for codes, _ in orbits)), stats=stats)
 
 
-# Restarts per pool task: map's choice of about four tasks per process,
-# capped because the pool holds each task's arguments and results whole.
-_MAX_CHUNK = 1024
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform has one, else every CPU of the host."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _parallel_map(func, args, count: int, workers: int):
-    """Yield ``func(a)`` for each of the ``count`` items of the iterable
-    ``args``, in order, on a pool of forked processes when more than one is
-    useful: never more than ``workers``, items or usable CPUs. Items are
-    drawn and results yielded as the work goes, so memory does not grow
-    with ``count``. Search is the only caller: its restarts are independent
-    and each is long enough to repay the pool."""
-    procs = min(workers, count, _usable_cpus())
-    if procs < 2:
-        yield from map(func, args)
-        return
-    import multiprocessing as mp
-    with mp.get_context("fork").Pool(procs) as pool:
-        yield from pool.imap(func, args, min(-(-count // (4 * procs)), _MAX_CHUNK))
-
-
 def _random_buys_masks(rng: random.Random, n: int) -> list:
     """Purchase masks of a random single-ownership profile with a per-draw
     edge density."""
@@ -642,15 +604,14 @@ def _sweep_orders(rng: random.Random, n: int):
         yield order
 
 
-def _search_iteration(args):
-    """One restart as (find, descent moves, exact scans): single improving
-    moves on mask state in sweeps drawn by _sweep_orders, then exact
-    verification, costliest agent first, which changes no verdict. The
+def _search_iteration(n: int, alpha: Fraction, seed: int, iteration: int) -> tuple:
+    """Restart ``iteration`` as (find, descent moves, exact scans): single
+    improving moves on mask state in sweeps drawn by _sweep_orders, then
+    exact verification, costliest agent first, which changes no verdict. The
     exact check reads the views of the quiet sweep that ended the descent;
     only a descent the sweep cap stops builds fresh ones. A find is a
     non-tree equilibrium as (code, price), else None; a restart reached
     the exact check exactly when its scan count is non-zero."""
-    n, alpha, seed, iteration = args
     rng = random.Random(_derive_seed(seed, iteration))
     buys_masks = _random_buys_masks(rng, n)
     adj = _adj_of(buys_masks)
@@ -684,25 +645,26 @@ def _search_iteration(args):
     scans = 0
     for v in sorted(range(n), key=lambda v: views[v][0], reverse=True):
         scans += 1
-        if _best_deviation(p, q, n, v, *views[v]) is not None:
+        cur, base = views[v]
+        if _scan_best_response(p, q, base, v, n, cur) is not None:
             return None, moves, scans
     return (_encode(buys_masks), _price(alpha, n, adj, buys_masks)), moves, scans
 
 
 def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
-                              workers: int = 1, stats: dict | None = None) -> tuple:
+                              stats: dict | None = None) -> tuple:
     """Seeded stochastic probe for equilibria containing a cycle.
 
     Random restarts descend by single improving moves; candidates whose
     graph has a cycle are then verified exactly (which bounds n by the
     exhaustive-verification guard). Returns the distinct finds as
     (ownership code, ProfilePrice) pairs sorted by code; an empty result
-    proves nothing. Deterministic for a given seed, independent of worker
-    count. Restarts are generated and their finds folded in as they run,
-    so memory does not grow with ``iterations``.
+    proves nothing. Deterministic for a given seed. The restarts run one
+    after another in this process, each folded in as it ends, so memory
+    does not grow with ``iterations``.
 
-    A ``stats`` dict receives the run's work counts, the same for any
-    worker count: ``restarts``, ``descent_moves`` (single-link moves made),
+    A ``stats`` dict receives the run's work counts: ``restarts`` (always
+    ``iterations``), ``descent_moves`` (single-link moves made),
     ``candidates`` (connected non-tree profiles the descent ended on) and
     ``exact_scans`` (best-response scans run on them).
     """
@@ -710,18 +672,16 @@ def search_nontree_equilibria(config: GameConfig, seed: int, iterations: int,
         raise ValueError("iterations must be >= 1")
     if config.n > BEST_RESPONSE_MAX_N:
         raise SizeGuard(f"search needs n <= {BEST_RESPONSE_MAX_N}, got {config.n}")
-    restarts = ((config.n, config.alpha, seed, it) for it in range(iterations))
     finds = {}
-    done = moves = candidates = scans = 0
-    for find, restart_moves, restart_scans in _parallel_map(
-            _search_iteration, restarts, iterations, workers):
-        done += 1
+    moves = candidates = scans = 0
+    for it in range(iterations):
+        find, restart_moves, restart_scans = _search_iteration(config.n, config.alpha, seed, it)
         moves += restart_moves
         candidates += restart_scans > 0
         scans += restart_scans
         if find is not None:
             finds[find[0]] = find[1]
     if stats is not None:
-        stats.update(restarts=done, descent_moves=moves, candidates=candidates,
+        stats.update(restarts=iterations, descent_moves=moves, candidates=candidates,
                      exact_scans=scans)
     return tuple(sorted(finds.items()))

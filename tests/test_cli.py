@@ -327,7 +327,7 @@ class TestDeterminism:
         assert stats[0] == {"classes": 6, "content_checks": 58,
                             "orientations_tried": 80, "profiles_expanded": 120}
 
-    @pytest.mark.parametrize("mode", ["enumerate", "poa"])
+    @pytest.mark.parametrize("mode", ["enumerate", "poa", "search"])
     def test_enumerate_and_poa_run_in_process(self, tmp_path, monkeypatch, mode):
         serial = tmp_path / "w1.csv"
         assert main([mode, "--n", "5", "--alpha", "2", "--workers", "1",
@@ -337,7 +337,6 @@ class TestDeterminism:
             raise AssertionError(f"{mode} asked for a {method} context")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        monkeypatch.setattr(equilibrium, "_usable_cpus", lambda: 4)
         out = tmp_path / "w2.csv"
         assert main([mode, "--n", "5", "--alpha", "2", "--workers", "2",
                      "--out", str(out)]) == 0

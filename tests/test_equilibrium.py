@@ -1,6 +1,4 @@
 import itertools
-import multiprocessing
-import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -17,10 +15,9 @@ from ncg.errors import SizeGuard
 from ncg.game import (INF, GameConfig, StrategyProfile, _adj_of, _buys_masks,
                       _mask_to_tuple, bfs, build_graph, social_cost)
 from ncg.equilibrium import (DynamicsStep, DynamicsTrace, EnumerationStats,
-                             ProfilePrice, _agent_view, _best_deviation,
-                             _best_response, _class_orbits, _content,
+                             ProfilePrice, _agent_view, _class_orbits, _content,
                              _derive_seed, _improving_move,
-                             _nash_orientations, _parallel_map, _scan_best_response,
+                             _nash_orientations, _scan_best_response,
                              best_response_dynamics, best_response_exact,
                              enumerate_equilibria, improving_move_heuristic,
                              is_nash, isomorphism_canonical_code,
@@ -261,7 +258,7 @@ def _single_link_moves(n, buys, v):
 
 
 class TestBestResponsePrimitive:
-    """_best_response, the one exact per-agent primitive, against the oracle."""
+    """_scan_best_response at bound cur + 1, the best response, against the oracle."""
 
     @given(_cut_profiles(min_n=1, max_n=9),
            st.fractions(min_value=Fraction(1, 8), max_value=30, max_denominator=12))
@@ -284,7 +281,7 @@ class TestBestResponsePrimitive:
         p, q = alpha.numerator, alpha.denominator
         for v in range(n):
             cur, base = _agent_view(p, q, n, adj, buys_masks, v)
-            mask, k, e = _best_response(p, q, n, v, cur, base)
+            mask, k, e = _scan_best_response(p, q, base, v, n, cur + 1)
             # The current cost, scaled by alpha's denominator; INF stays INF.
             assert cur == oracles.agent_cost(n, alpha, buys, v) * q
             # The oracle's first cheapest set in (size, lex) order.
@@ -367,13 +364,13 @@ def _moves(p, q, n, adj, buys_masks, v) -> tuple:
     """v's first improving single-link move and cheapest improving set."""
     cur, base = _agent_view(p, q, n, adj, buys_masks, v)
     return (_improving_move(p, q, n, v, buys_masks[v], cur, base),
-            _best_deviation(p, q, n, v, cur, base))
+            _scan_best_response(p, q, base, v, n, cur))
 
 
 def _check_improving_move(profile, alpha):
     """The first improving single-link move of _improving_move, the
-    cheapest improving set of _best_deviation and the content verdict they
-    compose, for every agent, priced by the oracle."""
+    cheapest improving set of _scan_best_response at bound cur and the
+    content verdict they compose, for every agent, priced by the oracle."""
     n, buys = profile.n, profile.buys
     buys_masks = _buys_masks(profile)
     adj = build_graph(profile).adj
@@ -664,14 +661,13 @@ class TestGraphFirstEnumeration:
         assert verdict(partial) == full
 
 
-def _labeled_walk(args):
-    """Reference: the enumeration's former labeled graph walk over graphs
-    [lo, hi), graph g holding pair i iff bit i of g is set."""
-    n, alpha, lo, hi = args
+def _labeled_walk_codes(n, alpha):
+    """Reference: the enumeration's former labeled graph walk, graph g
+    holding pair i iff bit i of g is set."""
     p, q = alpha.numerator, alpha.denominator
     pairs = list(itertools.combinations(range(n), 2))
     found = []
-    for g in range(lo, hi):
+    for g in range(2 ** len(pairs)):
         adj = [0] * n
         edges = []
         for i, (u, w) in enumerate(pairs):
@@ -681,15 +677,7 @@ def _labeled_walk(args):
                 edges.append((u, w))
         if bfs(adj, 1, (1 << n) - 1) != INF:
             _nash_orientations(p, q, n, adj, edges, found)
-    return found
-
-
-def _labeled_walk_codes(n, alpha, workers=1):
-    total = 2 ** (n * (n - 1) // 2)
-    step = -(-total // workers)
-    args = [(n, alpha, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    parts = _parallel_map(_labeled_walk, args, len(args), workers)
-    return sorted(code for found in parts for code in found)
+    return sorted(found)
 
 
 class TestClassFirstEnumeration:
@@ -711,7 +699,7 @@ class TestClassFirstEnumeration:
     def test_same_codes_as_labeled_walk_n6(self):
         cfg = GameConfig(6, Fraction(2))
         result = enumerate_equilibria(cfg)
-        assert _codes(result) == _labeled_walk_codes(6, cfg.alpha, workers=2)
+        assert _codes(result) == _labeled_walk_codes(6, cfg.alpha)
         # Each canonical form is the lex-min code of its own class.
         assert len(result.canonical_forms) == 30
         assert all(isomorphism_canonical_code(StrategyProfile.from_ownership_code(6, c)) == c
@@ -943,11 +931,15 @@ class TestSearch:
             search_nontree_equilibria(GameConfig(n, alpha), seed=seed, iterations=1)
 
     def test_deterministic_and_worker_invariant(self):
+        # Search runs in one process; the same seed gives the same finds and
+        # work counts on every run.
         cfg = GameConfig(5, Fraction(1, 2))
-        a = search_nontree_equilibria(cfg, seed=3, iterations=60, workers=1)
-        b = search_nontree_equilibria(cfg, seed=3, iterations=60, workers=4)
-        c = search_nontree_equilibria(cfg, seed=3, iterations=60, workers=1)
-        assert a == b == c
+        runs = []
+        for _ in range(3):
+            stats = {}
+            runs.append((search_nontree_equilibria(cfg, seed=3, iterations=60, stats=stats),
+                         stats))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_restarts_stream_in_bounded_memory(self):
         # n = 2 finds nothing, so the peak is the restart bookkeeping alone.
@@ -969,35 +961,41 @@ class TestSearch:
             assert graph.is_connected() and not graph.is_tree()
             assert is_nash(cfg, profile).is_nash
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pinned_n10_restarts(self, workers):
+    # Each pinned search runs once, then twice in one process: a repeat
+    # run must find the same profiles with the same work counts.
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_pinned_n10_restarts(self, runs):
         """A 200-restart search at n = 10, alpha = 1: the descent, the
         candidate filter and the exact verification find exactly these."""
-        found = search_nontree_equilibria(GameConfig(10, Fraction(1)), seed=761901386,
-                                          iterations=200, workers=workers)
-        assert [(code, p.edges, p.social_cost, p.max_agent_cost)
-                for code, p in found] == list(_SEARCH_N10_FINDS)
-        assert not any(p.is_tree for _, p in found)
+        for _ in range(runs):
+            found = search_nontree_equilibria(GameConfig(10, Fraction(1)), seed=761901386,
+                                              iterations=200)
+            assert [(code, p.edges, p.social_cost, p.max_agent_cost)
+                    for code, p in found] == list(_SEARCH_N10_FINDS)
+            assert not any(p.is_tree for _, p in found)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pinned_n10_work_counts(self, workers):
-        stats = {}
-        search_nontree_equilibria(GameConfig(10, Fraction(1)), seed=761901386,
-                                  iterations=200, workers=workers, stats=stats)
-        assert stats == {"restarts": 200, "descent_moves": 2961, "candidates": 115,
-                         "exact_scans": 513}
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_pinned_n10_work_counts(self, runs):
+        for _ in range(runs):
+            stats = {}
+            search_nontree_equilibria(GameConfig(10, Fraction(1)), seed=761901386,
+                                      iterations=200, stats=stats)
+            assert stats == {"restarts": 200, "descent_moves": 2961, "candidates": 115,
+                             "exact_scans": 513}
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("n, alpha", list(_SEARCH_SMALL_PINS))
-    def test_pinned_small_restarts(self, n, alpha, workers):
+    def test_pinned_small_restarts(self, n, alpha, runs):
         (moves, candidates, scans), finds = _SEARCH_SMALL_PINS[n, alpha]
-        stats = {}
-        found = search_nontree_equilibria(GameConfig(n, alpha), seed=100 * n + alpha.numerator,
-                                          iterations=60, workers=workers, stats=stats)
-        assert [(code, p.edges, p.social_cost, p.max_agent_cost)
-                for code, p in found] == list(finds)
-        assert stats == {"restarts": 60, "descent_moves": moves,
-                         "candidates": candidates, "exact_scans": scans}
+        for _ in range(runs):
+            stats = {}
+            found = search_nontree_equilibria(GameConfig(n, alpha),
+                                              seed=100 * n + alpha.numerator,
+                                              iterations=60, stats=stats)
+            assert [(code, p.edges, p.social_cost, p.max_agent_cost)
+                    for code, p in found] == list(finds)
+            assert stats == {"restarts": 60, "descent_moves": moves,
+                             "candidates": candidates, "exact_scans": scans}
 
     def test_sweep_orders_are_shuffles(self):
         # Each sweep's order is the permutation random.shuffle gives.
@@ -1016,7 +1014,7 @@ class TestSearch:
         agent_view = equilibrium._agent_view
         monkeypatch.setattr(equilibrium, "_agent_view",
                             lambda *args: views.append(args[-1]) or agent_view(*args))
-        finds = [equilibrium._search_iteration((6, Fraction(1), 5, it)) for it in range(40)]
+        finds = [equilibrium._search_iteration(6, Fraction(1), 5, it) for it in range(40)]
         assert any(scans for _, _, scans in finds)
         assert views == []
 
@@ -1041,7 +1039,7 @@ class TestSearch:
         monkeypatch.setattr(equilibrium, "_improving_move", always_moves)
         monkeypatch.setattr(equilibrium, "_agent_view",
                             lambda *args: views.append(args[-1]) or agent_view(*args))
-        find, moves, scans = equilibrium._search_iteration((n, cfg.alpha, 3, 0))
+        find, moves, scans = equilibrium._search_iteration(n, cfg.alpha, 3, 0)
         assert moves == 4 * n * n and sorted(views) == list(range(n))
         assert is_nash(cfg, cycle).is_nash and scans == n
         assert find is not None and find[0] == cycle.ownership_code()
@@ -1167,68 +1165,3 @@ class TestAgainstProfileLevelReferences:
                     == (v, buys[v], strategy, current[v], cost)
                 return
         assert report.is_nash and report.per_agent_best == tuple(current)
-
-
-class _RecordingContext:
-    """Stands in for a fork context: records each pool size and task chunk
-    size, forks nothing; with ``run`` False its pools do no work."""
-
-    def __init__(self, run=True):
-        self.sizes = []
-        self.chunks = []
-        self.run = run
-
-    def Pool(self, size):
-        self.sizes.append(size)
-        return _SerialPool(self)
-
-
-class _SerialPool:
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, func, args, chunksize):
-        self.ctx.chunks.append(chunksize)
-        return map(func, args) if self.ctx.run else iter(())
-
-
-def test_pool_size_capped_by_chunks_and_cores(monkeypatch):
-    cfg = GameConfig(4, Fraction(1, 2))
-    serial = [search_nontree_equilibria(cfg, seed=5, iterations=k) for k in (3, 6)]
-    ctx = _RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    monkeypatch.setattr(equilibrium, "_usable_cpus", lambda: 4)
-    assert [search_nontree_equilibria(cfg, seed=5, iterations=k, workers=100_000)
-            for k in (3, 6)] == serial
-    # 3 iterations on 4 cores, then 6 iterations on 4 cores, in tasks of
-    # the size map would pick: about four per process
-    assert ctx.sizes == [3, 4]
-    assert ctx.chunks == [1, 1]
-
-
-def test_pool_chunks_capped_for_huge_restart_counts(monkeypatch):
-    # The pool holds a task's arguments whole, so a chunk of a quarter of
-    # each process's share would grow with --iters; the cap bounds it.
-    ctx = _RecordingContext(run=False)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    monkeypatch.setattr(equilibrium, "_usable_cpus", lambda: 2)
-    cfg = GameConfig(4, Fraction(1, 2))
-    for iterations in (800, 10 ** 9):
-        assert search_nontree_equilibria(cfg, seed=5, iterations=iterations, workers=2) == ()
-    assert ctx.sizes == [2, 2]
-    assert ctx.chunks == [100, 1024]
-
-
-def test_pool_cap_counts_the_cpus_the_process_may_use(monkeypatch):
-    # A 2-CPU affinity mask on an 8-CPU host caps the pool at 2 processes.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert equilibrium._usable_cpus() == 2
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert equilibrium._usable_cpus() == 8
