@@ -15,18 +15,18 @@ field its mode does not read.
 
 Exit codes (``exit_status``, which the scripts share): 0 success (including
 verify reporting "not an equilibrium", and a run whose reader closed stdout
-early), 2 usage errors, 3 invalid configuration (an unreadable --in or
-unwritable --out included), 4 profile parse errors, 5 instance-size guard.
+early), 2 usage errors, 3 invalid configuration (an --in that cannot be
+read or is not UTF-8, and an unwritable --out, included), 4 profile parse
+errors, 5 instance-size guard.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -115,15 +115,32 @@ def _loaded(config: ExperimentConfig):
         return load_profile(config.input)
     except OSError as exc:
         raise ValueError(f"cannot read {config.input}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {config.input}: {exc}") from None
+
+
+# A cell is quoted, with each quote doubled, exactly when it holds a comma,
+# a quote or a line break. csv.writer with lineterminator="\n" quotes the
+# same cells, except that before Python 3.13 it leaves a cell whose only
+# special character is "\r" bare; this writer's bytes are the same on every
+# version. csv also writes a row of one empty field as '""'; every schema
+# has at least two columns, so that row cannot come up.
+_needs_quotes = re.compile(r'[,"\r\n]').search
+
+
+def _csv_cell(value) -> str:
+    text = str(value)  # a str is returned as it is
+    if _needs_quotes(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_text(fieldnames, rows) -> str:
-    """A header line and one line per row dict, each ending in a bare newline."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    """A header line and one line per row dict, each ending in a bare newline.
+    Every row holds a value for every field name."""
+    lines = [",".join(map(_csv_cell, fieldnames))]
+    lines += [",".join([_csv_cell(row[name]) for name in fieldnames]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:

@@ -88,5 +88,7 @@ def serialize_profile(config: GameConfig, profile: StrategyProfile) -> str:
 
 
 def load_profile(path) -> tuple[GameConfig, StrategyProfile]:
-    with open(path, encoding="utf-8") as fh:
+    """Parse the file at ``path``, UTF-8 text; a leading byte-order mark is
+    skipped, as editors on some platforms write one."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_profile(fh.read())

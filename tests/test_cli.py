@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import io
 import json
 import multiprocessing
 import os
@@ -10,15 +11,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ncg
 import ncg.equilibrium as equilibrium
 from conftest import alphas, strategy_profiles
 import ncg.cli
-from ncg.cli import (MODE_TABLE, MODES, ExperimentConfig, build_parser,
-                     exit_status, main, run)
+from ncg.cli import (MODE_TABLE, MODES, ExperimentConfig, _csv_text,
+                     build_parser, exit_status, main, run)
 from ncg.game import MAX_AGENTS, GameConfig, StrategyProfile
 from ncg.profiles import parse_profile, serialize_profile
 
@@ -40,6 +41,45 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# Cells as the CLI writes them: text with every character the quoting rule
+# looks at, and ints. "\r" is left out: csv quotes it only from Python 3.13.
+csv_cells = st.one_of(
+    st.text(alphabet=st.sampled_from(list('ab ,"\n;:é字')), max_size=8),
+    st.integers())
+
+
+@st.composite
+def csv_tables(draw):
+    names = draw(st.lists(st.text(alphabet=st.sampled_from(list('ab ,"\n_é')),
+                                  min_size=1, max_size=5),
+                          min_size=2, max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({name: csv_cells for name in names}),
+                         max_size=6))
+    return names, rows
+
+
+class TestCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    @example((["a", "b"], [{"a": 'say "hi"', "b": ""}, {"a": "x,y", "b": "1\n2"}]))
+    def test_matches_csv_module_and_reads_back(self, table):
+        names, rows = table
+        text = _csv_text(names, rows)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert text == buf.getvalue()
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        assert reader.fieldnames == names
+        assert list(reader) == [{name: str(row[name]) for name in names} for row in rows]
+
+    def test_carriage_return_cell_is_quoted(self):
+        # csv before Python 3.13 leaves this cell bare; the CLI's bytes do not
+        # depend on the interpreter.
+        assert _csv_text(["a", "b"], [{"a": "x\ry", "b": 1}]) == 'a,b\n"x\ry",1\n'
 
 
 class TestVerifyMode:
@@ -101,6 +141,20 @@ class TestVerifyMode:
         rc = main(["verify", "--in", missing, "--out", str(tmp_path / "v.csv")])
         assert rc == 3
         assert f"invalid configuration: cannot read {missing}" in capsys.readouterr().err
+
+    def test_input_with_byte_order_mark_is_read(self, tmp_path):
+        path = tmp_path / "bom.ncg"
+        path.write_bytes(b"\xef\xbb\xbf" + STAR3.encode())
+        out = str(tmp_path / "v.csv")
+        assert main(["verify", "--in", str(path), "--out", out]) == 0
+        assert read_csv(out)[0]["is_nash"] == "true"
+
+    def test_input_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.ncg"
+        path.write_bytes(STAR3.encode() + b"buy 1 \xff\n")
+        rc = main(["verify", "--in", str(path), "--out", str(tmp_path / "v.csv")])
+        assert rc == 3
+        assert f"invalid configuration: cannot read {path}: " in capsys.readouterr().err
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "nodir" / "x.csv")

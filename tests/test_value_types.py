@@ -219,9 +219,11 @@ def test_component_degrees_stay_out_of_the_tuple():
 
 
 def test_cli_import_loads_no_dataclasses():
-    """Building the value types needs neither dataclasses nor inspect, so a
-    CLI process does not pay for importing them; -S keeps site hooks out."""
-    code = "import sys, ncg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """Building the value types needs neither dataclasses nor inspect, and
+    the CSV writer needs no csv, so a CLI process does not pay for importing
+    them; -S keeps site hooks out."""
+    code = ("import sys, ncg.cli; "
+            "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ncg.__file__))}
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=env)
