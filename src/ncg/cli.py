@@ -145,7 +145,11 @@ def _csv_text(fieldnames, rows) -> str:
 
 def _write_text(path: str, text: str) -> None:
     """Write through a temp file in the target's directory, renamed over the
-    target, so a failed write leaves neither a partial target nor the temp."""
+    target, so a failed write leaves neither a partial target nor the temp.
+    An existing target that is not a regular file, such as a FIFO or a
+    device, is refused: the rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"cannot write {path}: not a regular file")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

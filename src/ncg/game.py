@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import SizeGuard
 
@@ -84,8 +84,8 @@ class StrategyProfile(_StrategyProfileFields):
             if list(s) != sorted(set(s)):
                 raise ValueError(f"purchase set of agent {i} is not canonical: {s}")
             for j in s:
-                if not 0 <= j < n:
-                    raise ValueError(f"agent {i} buys invalid index {j}")
+                if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
+                    raise ValueError(f"agent {i} buys invalid index {j!r}")
                 if j == i:
                     raise ValueError(f"agent {i} buys a self-loop")
         return super().__new__(cls, buys)
@@ -191,34 +191,25 @@ def _decode(n: int, code: str) -> list:
 
 
 class OwnedGraph:
-    """Simple undirected graph induced by a profile, plus per-edge buyer labels.
+    """Simple undirected graph of purchase masks: bit u of ``buys[v]`` is set
+    when v paid for (u, v), and a link bought from both sides is one edge.
+    ``adj`` has a neighbour mask per vertex, ``edges`` the pairs u < v. A
+    mask that is not an int, is negative, or sets bit v or a bit >= n raises
+    ValueError."""
 
-    Edges are pairs (u, v) with u < v, however they are given (a pair given
-    both ways is one edge); ``owners[e]`` is the nonempty set of endpoints
-    that paid for e, else ValueError. ``adj`` has a neighbor mask per vertex.
-    """
+    __slots__ = ("n", "buys", "adj", "edges")
 
-    __slots__ = ("n", "edges", "owners", "adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 owners: Mapping[tuple[int, int], frozenset[int]]):
+    def __init__(self, buys):
+        buys = tuple(buys)
+        n = len(buys)
+        for v, m in enumerate(buys):
+            if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m >> n or m >> v & 1:
+                raise ValueError(f"bad purchase mask {m!r} of vertex {v} for n = {n}")
         self.n = n
-        self.edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        self.owners = own = {}
-        for (u, v), o in owners.items():
-            if not 0 < len(o) == (u in o) + (v in o):  # nonempty, endpoints only
-                raise ValueError(f"owners {sorted(o)} of ({u}, {v}) are not its endpoints")
-            e = (u, v) if u < v else (v, u)
-            own[e] = own[e] | o if e in own else frozenset(o)
-        adj = [0] * n
-        for u, v in self.edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if own.keys() != self.edges:
-            raise ValueError("the owners' pairs must be the edges")
-        self.adj = tuple(adj)
+        self.buys = buys
+        self.adj = adj = tuple(_adj_of(buys))
+        self.edges = frozenset((u, w) for u in range(n)
+                               for w in _mask_to_tuple(adj[u]) if u < w)
 
     def has_edge(self, u: int, v: int) -> bool:
         _check_agent(self.n, u)
@@ -335,13 +326,7 @@ def distances_from(adj, source: int, n: int) -> list:
 
 def build_graph(profile: StrategyProfile) -> OwnedGraph:
     """Induce the simple graph of a profile; a doubly-bought edge appears once."""
-    owners: dict[tuple[int, int], set[int]] = {}
-    for i, s in enumerate(profile.buys):
-        for j in s:
-            e = (i, j) if i < j else (j, i)
-            owners.setdefault(e, set()).add(i)
-    return OwnedGraph(profile.n, owners.keys(),
-                      {e: frozenset(o) for e, o in owners.items()})
+    return OwnedGraph(_buys_masks(profile))
 
 
 def all_pairs_distances(graph: OwnedGraph) -> tuple:

@@ -294,9 +294,9 @@ def min_cycle_through_edge(graph: OwnedGraph, e) -> MinCycle | None:
         return None
     vertices = tuple(path)  # closing edge (v, u) wraps around
     heads = vertices[1:] + vertices[:1]
-    get = graph.owners.get
+    buys = graph.buys
     # Directed: every edge is bought by its tail, read one way or the other.
-    directed = any(all(a in get((a, b) if a < b else (b, a), ()) for a, b in edges)
+    directed = any(all(buys[a] >> b & 1 for a, b in edges)
                    for edges in (zip(vertices, heads), zip(heads, vertices)))
     return MinCycle(vertices=vertices, length=len(vertices), directed=directed)
 
@@ -330,9 +330,10 @@ def _min_cycles(graph: OwnedGraph, comps):
 
 
 def component_subgraph(graph: OwnedGraph, component: BiconnectedComponent) -> OwnedGraph:
-    """The component's edges as a standalone graph on the same vertex ids."""
-    return OwnedGraph(graph.n, component.edges,
-                      {e: graph.owners[e] for e in component.edges})
+    """The component's edges as a standalone graph on the same vertex ids:
+    the block vertices' purchases restricted to the block."""
+    block = sum(1 << v for v in component.vertices)
+    return OwnedGraph([m & block if block >> v & 1 else 0 for v, m in enumerate(graph.buys)])
 
 
 def component_is_cycle(component: BiconnectedComponent) -> bool:
@@ -406,15 +407,16 @@ def closest_assignment(rows, component: BiconnectedComponent) -> ClosestAssignme
     return ClosestAssignment(assignment=tuple(assignment))
 
 
-def shopping_vertices(profile: StrategyProfile, component: BiconnectedComponent,
+def shopping_vertices(graph: OwnedGraph, component: BiconnectedComponent,
                       spt: ShortestPathTree) -> ShoppingVertexSet:
     """Component vertices that buy component edges missing from the shortest
     path tree, with those edges listed per vertex."""
+    buys = graph.buys
     by_member: dict[int, list] = {}
     for u, v in sorted(component.edges - spt.edges()):
-        if v in profile.buys[u]:
+        if buys[u] >> v & 1:
             by_member.setdefault(u, []).append((u, v))
-        if u in profile.buys[v]:
+        if buys[v] >> u & 1:
             by_member.setdefault(v, []).append((u, v))
     edges_by_member = tuple(sorted(
         (m, tuple(sorted(es))) for m, es in by_member.items()))
@@ -518,9 +520,10 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     def run_members_buy():
         bad = []
         for comp in comps:
+            block = sum(1 << v for v in comp.vertices)
             for v in sorted(comp.vertices):
                 # An edge between two block vertices is a block edge.
-                if not any(u in comp.vertices for u in profile.buys[v]):
+                if not graph.buys[v] & block:
                     bad.append(Witness(
                         "non_buyer", (v, tuple(sorted(comp.vertices))),
                         f"vertex {v} buys no edge of its component"))
@@ -581,7 +584,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
                         "long_two_degree_path", path.vertices(),
                         f"path {path.vertices()} has {path.k} interior 2-degree vertices"))
                 elif path.k == 3 and connected:
-                    if not _k3_endpoint_condition(profile, mets, path):
+                    if not _k3_endpoint_condition(graph.buys, mets, path):
                         bad.append(Witness(
                             "k3_endpoints", path.vertices(),
                             f"path {path.vertices()} with k=3 violates the endpoint "
@@ -626,7 +629,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
         # The tree restricted to a block spans it, so a tree path joins any
         # two shopping vertices of one block.
         spt = shortest_path_tree(graph, min(mets.centers))
-        shopping_ctx = [shopping_vertices(profile, comp, spt) for comp in comps]
+        shopping_ctx = [shopping_vertices(graph, comp, spt) for comp in comps]
 
     def run_single_nontree():
         bad = []
@@ -696,14 +699,14 @@ def render_report(report: LemmaReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _k3_endpoint_condition(profile: StrategyProfile, mets, path: TwoDegreePath) -> bool:
+def _k3_endpoint_condition(buys, mets, path: TwoDegreePath) -> bool:
     """A 3-interior path read in purchase direction must start at a vertex of
     minimum usage and end elsewhere. If neither reading is consistently
-    bought, accept the condition holding under either reading."""
+    bought by the purchase masks ``buys``, accept either reading."""
     seq = path.vertices()
     rev = tuple(reversed(seq))
-    forward = all(seq[i + 1] in profile.buys[seq[i]] for i in range(len(seq) - 1))
-    backward = all(rev[i + 1] in profile.buys[rev[i]] for i in range(len(rev) - 1))
+    forward = all(buys[a] >> b & 1 for a, b in zip(seq, seq[1:]))
+    backward = all(buys[a] >> b & 1 for a, b in zip(rev, rev[1:]))
     if forward or backward:
         candidates = ([seq] if forward else []) + ([rev] if backward else [])
     else:

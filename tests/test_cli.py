@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -168,6 +169,19 @@ class TestVerifyMode:
         rc = main(["optimum", "--n", "3", "--alpha", "2", "--out", out])
         assert rc == 3
         assert f"cannot write {out}.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available")
+    @pytest.mark.parametrize("name", ["x.csv", "x.csv.manifest.json"])
+    def test_output_that_is_not_a_regular_file_is_kept(self, tmp_path, capsys, name):
+        # The rename would put a regular file in place of the FIFO.
+        fifo = tmp_path / name
+        os.mkfifo(fifo)
+        rc = main(["optimum", "--n", "3", "--alpha", "2", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert (f"invalid configuration: cannot write {fifo}: not a regular file"
+                in capsys.readouterr().err)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "x.csv"

@@ -111,49 +111,37 @@ class TestBuildGraph:
     def test_single_buyer(self):
         g = build_graph(StrategyProfile.from_sets([{1}, set()]))
         assert g.edges == frozenset({(0, 1)})
-        assert g.owners[(0, 1)] == frozenset({0})
+        assert g.buys == (0b10, 0)
 
     def test_double_purchase_single_edge(self):
         g = build_graph(StrategyProfile.from_sets([{1}, {0}]))
         assert g.edges == frozenset({(0, 1)})
-        assert g.owners[(0, 1)] == frozenset({0, 1})
+        assert g.buys == (0b10, 0b01)
 
     def test_path(self):
         g = build_graph(StrategyProfile.from_sets([{1}, {2}, set()]))
         assert g.edges == frozenset({(0, 1), (1, 2)})
-        assert g.owners[(0, 1)] == frozenset({0})
-        assert g.owners[(1, 2)] == frozenset({1})
+        assert g.buys == (0b010, 0b100, 0)
 
-    def test_unordered_pairs_normalised(self):
-        # Each pair becomes (min, max); a pair given both ways is one edge
-        # whose owners are the union.
-        g = OwnedGraph(3, [(1, 0), (0, 1), (2, 1)],
-                       {(1, 0): frozenset({1}), (0, 1): frozenset({0}),
-                        (2, 1): frozenset({2})})
-        assert g.edges == frozenset({(0, 1), (1, 2)})
-        assert g.owners == {(0, 1): frozenset({0, 1}), (1, 2): frozenset({2})}
-        assert g.adj == (0b010, 0b101, 0b010)
-
-    @pytest.mark.parametrize("edges, owners", [
-        # (1, 2) "bought" by 0, and (0, 1), (0, 2) with no owner at all
-        ([(0, 1), (1, 2), (0, 2)], {(1, 2): frozenset({0})}),
-        ([(0, 1), (1, 2)], {(0, 1): frozenset({0})}),                # edge without owner
-        ([(0, 1)], {(0, 1): frozenset({1}), (1, 2): frozenset({1})}),  # owner of no edge
-        ([(0, 1)], {(1, 0): frozenset({0, 2})}),                     # owner off the edge
-        ([(0, 1)], {(0, 1): frozenset()}),                           # empty owner set
-    ])
-    def test_owners_must_match_edges(self, edges, owners):
-        with pytest.raises(ValueError):
-            OwnedGraph(3, edges, owners)
+    @pytest.mark.parametrize("buys", [
+        [0b011, 0, 0],   # vertex 0 buys itself
+        [0b1000, 0, 0],  # bit 3 of three vertices
+        [-1, 0, 0],
+        [2.0, 0, 0],
+    ], ids=["own-bit", "bit-at-n", "negative", "float"])
+    def test_bad_purchase_masks_rejected(self, buys):
+        with pytest.raises(ValueError, match="bad purchase mask"):
+            OwnedGraph(buys)
 
     @given(strategy_profiles())
     def test_deterministic_and_owner_nonempty(self, profile):
-        g1 = build_graph(profile)
-        g2 = build_graph(profile)
-        assert g1.edges == g2.edges
-        for e in g1.edges:
-            assert g1.owners[e]
-            assert g1.owners[e] <= frozenset(e)
+        g = build_graph(profile)
+        assert build_graph(profile).edges == g.edges
+        assert g.buys == tuple(_buys_masks(profile))
+        want = oracles.adjacency(profile.n, profile.buys)
+        assert [set(g.neighbors(v)) for v in range(g.n)] == [want[v] for v in range(g.n)]
+        for u, v in g.edges:
+            assert g.buys[u] >> v & 1 or g.buys[v] >> u & 1
 
     @given(strategy_profiles())
     def test_edge_iff_purchase(self, profile):

@@ -2,6 +2,8 @@
 
 import csv
 import importlib.util
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,16 @@ def test_unwritable_out_exits_like_ncg(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available")
+@pytest.mark.parametrize("name", ["poa_scan", "tree_threshold_scan"])
+def test_out_that_is_not_a_regular_file_is_kept(name, tmp_path, capsys):
+    size = ["--n", "3"] if name == "poa_scan" else ["--n-min", "3", "--n-max", "3"]
+    fifo = tmp_path / "x.csv"
+    os.mkfifo(fifo)
+    assert load_script(name).main([*size, "--alpha", "2", "--out", str(fifo)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"invalid configuration: cannot write {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["x.csv"]

@@ -287,8 +287,8 @@ def _bought_around(g, cycle):
     """True iff every edge of the cycle is bought by its tail, read in one
     of the two directions."""
     steps = list(zip(cycle, cycle[1:] + cycle[:1]))
-    return (all(a in g.owners[(min(a, b), max(a, b))] for a, b in steps)
-            or all(b in g.owners[(min(a, b), max(a, b))] for a, b in steps))
+    return (all(g.buys[a] >> b & 1 for a, b in steps)
+            or all(g.buys[b] >> a & 1 for a, b in steps))
 
 
 _K5 = graph_from_edges(5, combinations(range(5), 2))
@@ -360,11 +360,10 @@ class TestDirectedCycles:
 
 
 class TestUnorderedEdgePairs:
-    """A directed triangle whose pairs are given high end first."""
+    """A directed triangle built from its purchase masks, whose min cycle is
+    asked for with the pair given high end first."""
 
-    GRAPH = OwnedGraph(3, [(1, 0), (2, 1), (2, 0)],
-                       {(1, 0): frozenset({0}), (2, 1): frozenset({1}),
-                        (2, 0): frozenset({2})})
+    GRAPH = OwnedGraph([0b010, 0b100, 0b001])
 
     def test_girth(self):
         assert biconnected_components(self.GRAPH)[0].vertices == frozenset({0, 1, 2})
@@ -479,9 +478,9 @@ class TestClosestAssignment:
 
 class TestShoppingVertices:
     def test_directed_c4_single_shopping_vertex(self):
-        profile = directed_cycle_profile(4)
-        comp = biconnected_components(build_graph(profile))[0]
-        sv = shopping_vertices(profile, comp, shortest_path_tree(build_graph(profile), 0))
+        graph = build_graph(directed_cycle_profile(4))
+        comp = biconnected_components(graph)[0]
+        sv = shopping_vertices(graph, comp, shortest_path_tree(graph, 0))
         # With root 0 the tree keeps (0,1), (0,3), (1,2); vertex 2 bought the
         # leftover edge (2,3).
         assert sv.members == frozenset({2})
@@ -500,7 +499,7 @@ class TestShoppingVertices:
             root = rng.randrange(n)
             spt = shortest_path_tree(graph, root)
             for comp in comps:
-                sv = shopping_vertices(profile, comp, spt)
+                sv = shopping_vertices(graph, comp, spt)
                 t_edges = spt.edges()
                 expected = set()
                 for u, v in comp.edges - t_edges:
@@ -513,8 +512,9 @@ class TestShoppingVertices:
     def test_double_purchase_lists_both_buyers(self):
         # 4-cycle whose non-tree edge (2,3) is paid from both sides
         profile = StrategyProfile.from_sets([{1}, {2}, {3}, {0, 2}])
-        comp = biconnected_components(build_graph(profile))[0]
-        sv = shopping_vertices(profile, comp, shortest_path_tree(build_graph(profile), 0))
+        graph = build_graph(profile)
+        comp = biconnected_components(graph)[0]
+        sv = shopping_vertices(graph, comp, shortest_path_tree(graph, 0))
         assert sv.members == frozenset({2, 3})
 
 
@@ -646,7 +646,7 @@ def _shopping_pair_reference(alpha, profile):
     threshold = (alpha - 1) / 2
     lca_bad, dist_bad, depths = [], [], set()
     for comp in biconnected_components(graph):
-        members = sorted(shopping_vertices(profile, comp, spt).members)
+        members = sorted(shopping_vertices(graph, comp, spt).members)
         for u1, u2 in combinations(members, 2):
             x, d1, d2 = ncg.structure._lca_and_depths(spt, u1, u2)
             depths.add((max(d1, d2), d1 + d2))

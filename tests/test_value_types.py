@@ -189,6 +189,8 @@ _INVALID = [
     (GameConfig, (0, 1)),
     (GameConfig, (3, 0.5)),
     (StrategyProfile, (((2, 1), (), ()),)),  # agent 0's set is not sorted
+    (StrategyProfile, (((1.0,), ()),)),  # a float vertex id
+    (StrategyProfile, (((True,), ()),)),  # a bool vertex id
 ]
 
 
