@@ -168,14 +168,14 @@ def _mask_to_tuple(mask: int) -> tuple:
 def _encode(buys_masks) -> str:
     """Ownership code of the purchase masks: per pair u < v, the digit
     1 if u buys v plus 2 if v buys u."""
-    return "".join(str((buys_masks[u] >> v & 1) + 2 * (buys_masks[v] >> u & 1))
+    return "".join("0123"[(buys_masks[u] >> v & 1) + 2 * (buys_masks[v] >> u & 1)]
                    for u, v in combinations(range(len(buys_masks)), 2))
 
 
 def _digit_table(buys_masks, n: int) -> list:
     """``digit[i][j]``: _encode's digit of (i, j) for every ordered pair, so a
     relabeled profile's code can be read off it pair by pair."""
-    return [[str((buys_masks[i] >> j & 1) + 2 * (buys_masks[j] >> i & 1))
+    return [["0123"[(buys_masks[i] >> j & 1) + 2 * (buys_masks[j] >> i & 1)]
              for j in range(n)] for i in range(n)]
 
 
@@ -208,8 +208,14 @@ class OwnedGraph:
         self.n = n
         self.buys = buys
         self.adj = adj = tuple(_adj_of(buys))
-        self.edges = frozenset((u, w) for u in range(n)
-                               for w in _mask_to_tuple(adj[u]) if u < w)
+        edges = []
+        for u in range(n):
+            m = adj[u] >> u + 1
+            while m:
+                low = m & -m
+                edges.append((u, u + low.bit_length()))
+                m ^= low
+        self.edges = frozenset(edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         _check_agent(self.n, u)

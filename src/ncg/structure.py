@@ -46,6 +46,11 @@ class BiconnectedComponent(NamedTuple):
         """Each vertex's degree in the component; not a field, as edges fix it."""
         return Counter(v for edge in self.edges for v in edge)
 
+    @property
+    def mask(self) -> int:
+        """The vertices as a bit mask."""
+        return sum(1 << v for v in self.vertices)
+
 
 class ShortestPathTree(NamedTuple):
     """BFS tree with smallest-index parents; depth equals graph distance."""
@@ -257,15 +262,21 @@ def is_min_cycle(graph: OwnedGraph, cycle) -> bool:
     return True
 
 
-def _shortest_path_avoiding_edge(graph: OwnedGraph, u: int, v: int):
-    """Smallest-parent BFS path from u to v in the graph minus edge (u, v)."""
-    common = graph.adj[u] & graph.adj[v]
+def _min_cycle(graph: OwnedGraph, u: int, v: int) -> MinCycle | None:
+    """The smallest-parent BFS path from u to v in the graph minus the edge
+    (u, v), closed by that edge into a cycle; None for a bridge. Directed
+    means every edge is bought by its tail, read one way or the other."""
+    adj, buys = graph.adj, graph.buys
+    common = adj[u] & adj[v]
     if common:
         # Without the edge, layer 1 from u is adj[u] minus v, so v is first
         # seen at layer 2 and its smallest parent is the lowest common
         # neighbour: the BFS below would return this same triangle.
-        return [u, _lowest_vertex(common), v]
-    adj = list(graph.adj)
+        c = _lowest_vertex(common)
+        directed = bool(buys[u] >> c & buys[c] >> v & buys[v] >> u & 1
+                        or buys[c] >> u & buys[v] >> c & buys[u] >> v & 1)
+        return MinCycle(vertices=(u, c, v), length=3, directed=directed)
+    adj = list(adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
     layers: list = []
@@ -276,7 +287,13 @@ def _shortest_path_avoiding_edge(graph: OwnedGraph, u: int, v: int):
     for layer in reversed(layers[:d]):
         path.append(_lowest_vertex(adj[path[-1]] & layer))
     path.reverse()
-    return path
+    forward = backward = True
+    a = v  # the closing edge (v, u) wraps around
+    for b in path:
+        forward = forward and buys[a] >> b & 1
+        backward = backward and buys[b] >> a & 1
+        a = b
+    return MinCycle(vertices=tuple(path), length=d + 1, directed=bool(forward or backward))
 
 
 def min_cycle_through_edge(graph: OwnedGraph, e) -> MinCycle | None:
@@ -289,16 +306,7 @@ def min_cycle_through_edge(graph: OwnedGraph, e) -> MinCycle | None:
     u, v = e
     if not graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    path = _shortest_path_avoiding_edge(graph, u, v)
-    if path is None:
-        return None
-    vertices = tuple(path)  # closing edge (v, u) wraps around
-    heads = vertices[1:] + vertices[:1]
-    buys = graph.buys
-    # Directed: every edge is bought by its tail, read one way or the other.
-    directed = any(all(buys[a] >> b & 1 for a, b in edges)
-                   for edges in (zip(vertices, heads), zip(heads, vertices)))
-    return MinCycle(vertices=vertices, length=len(vertices), directed=directed)
+    return _min_cycle(graph, u, v)
 
 
 def girth(graph: OwnedGraph):
@@ -318,9 +326,21 @@ def _min_cycles(graph: OwnedGraph, comps):
     vertices of the first shortest one (None for forests). ``comps`` are
     the graph's biconnected components: an edge in none of them is a
     bridge and maps to None without a search."""
-    in_blocks = frozenset().union(*(c.edges for c in comps))
-    table = {e: min_cycle_through_edge(graph, e) if e in in_blocks else None
-             for e in sorted(graph.edges)}
+    adj = graph.adj
+    # An edge is a block edge exactly when one block holds both its ends.
+    block_mates = [0] * graph.n
+    for comp in comps:
+        block = comp.mask
+        for v in comp.vertices:
+            block_mates[v] |= block
+    table = {}
+    for u in range(graph.n):
+        m = adj[u] >> u + 1 << u + 1  # the neighbours above u
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            table[u, w] = _min_cycle(graph, u, w) if block_mates[u] & low else None
     return table, min((mc.vertices for mc in table.values() if mc is not None),
                       key=len, default=None)
 
@@ -332,7 +352,7 @@ def _min_cycles(graph: OwnedGraph, comps):
 def component_subgraph(graph: OwnedGraph, component: BiconnectedComponent) -> OwnedGraph:
     """The component's edges as a standalone graph on the same vertex ids:
     the block vertices' purchases restricted to the block."""
-    block = sum(1 << v for v in component.vertices)
+    block = component.mask
     return OwnedGraph([m & block if block >> v & 1 else 0 for v, m in enumerate(graph.buys)])
 
 
@@ -520,7 +540,7 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     def run_members_buy():
         bad = []
         for comp in comps:
-            block = sum(1 << v for v in comp.vertices)
+            block = comp.mask
             for v in sorted(comp.vertices):
                 # An edge between two block vertices is a block edge.
                 if not graph.buys[v] & block:
@@ -547,10 +567,12 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     def run_attachment():
         bad = []
         for comp in comps:
-            ca = closest_assignment(rows, comp)
+            attached = {v: [] for v in comp.vertices}
+            for w, v in enumerate(closest_assignment(rows, comp).assignment):
+                attached[v].append(w)
             for v in sorted(comp.vertices):
                 bound = mets.ecc[v] + 2 - alpha
-                for w in sorted(ca.s_of(v)):
+                for w in attached[v]:
                     d = rows[v][w]
                     if d > bound:
                         bad.append(Witness(
@@ -595,15 +617,29 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
 
     def run_neighborhood():
         bad = []
+        adj = graph.adj
         for comp in comps:
-            deg = comp.degrees
-            for v in sorted(comp.vertices):
-                dist = rows[v]
-                n1 = [u for u in comp.vertices if dist[u] <= 1]
-                ring2 = [u for u in comp.vertices if dist[u] == 2]
-                cond_a = any(deg[u] >= 3 for u in n1)
-                cond_b = all(deg[u] == 2 for u in n1) and all(deg[u] >= 3 for u in ring2)
-                if not (cond_a or cond_b):
+            block = comp.mask
+            deg2 = sum(1 << v for v in comp.vertices if (adj[v] & block).bit_count() == 2)
+            # Every vertex of a block has degree at least 2 in it.
+            deg3 = block & ~deg2
+            m = block
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                near = adj[v] | low  # the closed neighbourhood
+                # Some vertex of degree >= 3 within distance 1; failing
+                # that, all of them have degree 2, so the distance-2 ring
+                # must hold no degree-2 vertex.
+                if near & deg3:
+                    continue
+                ball2, rest = near, adj[v]
+                while rest:
+                    w = rest & -rest
+                    rest ^= w
+                    ball2 |= adj[w.bit_length() - 1]
+                if ball2 & ~near & deg2:
                     bad.append(Witness(
                         "bad_neighborhood", (v,),
                         f"vertex {v}: no high-degree vertex within distance 1, and "

@@ -62,6 +62,7 @@ def _inputs():
         "rand8.ncg": _profile_text(8, 1, _random_connected(rng, list(range(8)), 0.2), rng),
         "star8.ncg": _profile_text(8, 3, {(0, v) for v in range(1, 8)}, rng),
         "audit-a3.ncg": _audit_text(3),
+        "audit-a6.ncg": _audit_text(6),
         "audit-a25.ncg": _audit_text(25),
         "rand12.ncg": _profile_text(12, 1, _random_connected(rng, list(range(12)), 0.15), rng),
     }
@@ -83,6 +84,9 @@ JOBS = {
     "poa-n6": ["poa", "--n", "6", "--alpha", "2"],
     "audit-a3": ["audit", "--in", "audit-a3.ncg", "--witnesses"],
     "audit-a25": ["audit", "--in", "audit-a25.ncg", "--witnesses"],
+    # ceil((alpha - 1) / 2) = 3 passes some shopping pairs and fails others,
+    # and the checks gated on alpha > 5 apply.
+    "audit-a6": ["audit", "--in", "audit-a6.ncg", "--witnesses"],
     # The search descent and the dynamics state updates at a larger n.
     "search-n10": ["search", "--n", "10", "--alpha", "1", "--iters", "60", "--seed", "4"],
     "dynamics-n12": ["dynamics", "--in", "rand12.ncg", "--schedule", "rand",
@@ -94,6 +98,8 @@ GOLDEN = {
     "audit-a25.stdout": "52775be60335d10f2c26744ee25161b46eb6edebd68b82ac9db84fa61e52f20b",
     "audit-a3.csv": "e0a52bf9641d41fd30dc46191cbc15334ddb6600bec85012053d3740ad51f8c8",
     "audit-a3.stdout": "16be4d9c567a5ccf945036dd65fe0df125993f8e264c856dec766a3407260cab",
+    "audit-a6.csv": "1d29bafd2cc7a964d8c27a37905cf7cc6100e173272c4be2324a76857d3c868a",
+    "audit-a6.stdout": "9de27e319a66444c84e25138a201ddf6379dfac3643043b46879bd845d753544",
     "best-response.csv": "6457b6b12ef6fb23d9547e065e69809b96fbc3b4a0ce8fb609788e9d8674c67b",
     "best-response.stdout": "454e175d90f3e4e60f03cfe6c5a66a4d341d71995e55266a659f06f23bf6a20a",
     "dynamics-in.csv": "faf375eeb0293c0ad8ff463d6a098f2ffde3016405a59606c20b972b13c12689",

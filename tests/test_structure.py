@@ -590,7 +590,7 @@ class TestAudit:
         for name in ("build_graph", "all_pairs_distances", "shortest_path_tree",
                      "min_cycle_through_edge", "is_min_cycle", "component_subgraph",
                      "shopping_vertices", "shortest_cycle", "distances_from",
-                     "closest_assignment"):
+                     "closest_assignment", "bfs"):
             def counted(*args, _fn=getattr(ncg.structure, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -600,9 +600,13 @@ class TestAudit:
         assert len(blocks) == 3
         report = audit_equilibrium_structure(GameConfig(12, Fraction(25)), profile)
         assert report.record("shopping_lca_gap").applicable
+        # The min-cycle table runs one BFS per block edge outside every
+        # triangle (8 of the 14), and the shortest path tree one more.
+        triangle_free = [(u, v) for c in blocks for u, v in c.edges
+                         if not _BLOCKS.adj[u] & _BLOCKS.adj[v]]
+        assert len(triangle_free) == 8
         assert calls == {"build_graph": 1, "all_pairs_distances": 1,
-                         "shortest_path_tree": 1,
-                         "min_cycle_through_edge": sum(len(c.edges) for c in blocks),
+                         "shortest_path_tree": 1, "bfs": len(triangle_free) + 1,
                          "closest_assignment": 3, "shopping_vertices": 3}
 
     def test_witnesses_reverify(self):
@@ -661,6 +665,68 @@ def _shopping_pair_reference(alpha, profile):
                     f"tree distance {d1 + d2} between shopping vertices "
                     f"{u1},{u2} < (alpha-1)/2 = {threshold}"))
     return lca_bad, dist_bad, depths
+
+
+def _degree_and_attachment_reference(g, alpha):
+    """The neighborhood_degree and attachment_distance witness lists of the
+    audit, from deque-BFS distances and the cycle-space blocks of the
+    oracles; attachment is None when the graph is disconnected."""
+    adj = _dict_adjacency(g)
+    dist = [oracles.bfs_distances(adj, v) for v in range(g.n)]
+    neighborhood, attachment = [], []
+    for vertices, edges in oracles.biconnected_components(g.n, adj):
+        deg = Counter(v for e in edges for v in e)
+        for v in sorted(vertices):
+            n1 = [u for u in vertices if dist[v][u] <= 1]
+            ring2 = [u for u in vertices if dist[v][u] == 2]
+            if not (any(deg[u] >= 3 for u in n1)
+                    or (all(deg[u] == 2 for u in n1) and all(deg[u] >= 3 for u in ring2))):
+                neighborhood.append(Witness(
+                    "bad_neighborhood", (v,),
+                    f"vertex {v}: no high-degree vertex within distance 1, and "
+                    f"distance-2 ring is not all high-degree"))
+        for v in sorted(vertices):
+            if len(dist[v]) < g.n:
+                attachment = None
+                break
+            bound = oracles.eccentricity(g.n, adj, v) + 2 - alpha
+            # w attaches to the block vertex nearest to it, unique in a connected graph
+            for w in range(g.n):
+                nearest = min(vertices, key=lambda h: dist[h][w])
+                if nearest == v and dist[v][w] > bound:
+                    attachment.append(Witness(
+                        "distant_attachment", (v, w, dist[v][w]),
+                        f"d({v},{w}) = {dist[v][w]} > usage({v}) + 2 - alpha = {bound}"))
+    return neighborhood, attachment
+
+
+_TWO_PIECES = graph_from_edges(9, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6),
+                                   (6, 7), (7, 4), (5, 8)])
+
+
+class TestDegreeAndAttachmentOracle:
+    """The audit's neighbourhood-degree and attachment-distance witnesses
+    against references built from the oracles, at an alpha where only some
+    vertices fail (6) and one where the attachment bound fails everywhere (25)."""
+
+    # n <= 8: the cycle-space block oracle lists every simple cycle.
+    @given(owned_graphs(max_n=8), st.sampled_from([Fraction(6), Fraction(25)]))
+    @example(_BLOCKS, Fraction(6))
+    @example(_C7, Fraction(6))
+    @example(_CORE_WITH_PATH, Fraction(6))
+    @example(_TWO_PIECES, Fraction(6))
+    @example(_K5, Fraction(25))
+    def test_witnesses_match_reference(self, g, alpha):
+        profile = StrategyProfile(tuple(tuple(u for u in range(g.n) if m >> u & 1)
+                                        for m in g.buys))
+        report = audit_equilibrium_structure(GameConfig(g.n, alpha), profile)
+        neighborhood, attachment = _degree_and_attachment_reference(g, alpha)
+        comps = bool(biconnected_components(g))
+        rec = report.record("neighborhood_degree")
+        assert rec.applicable == comps and rec.witnesses == tuple(neighborhood)
+        rec = report.record("attachment_distance")
+        assert rec.applicable == (comps and attachment is not None)
+        assert rec.witnesses == tuple(attachment or ())
 
 
 class TestShoppingThreshold:
