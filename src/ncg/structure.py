@@ -18,6 +18,13 @@ The audit reads one graph-wide table of the shortest cycle through each
 edge. Bridges come from the blocks, so they need no search; an edge in a
 triangle is read off the common-neighbour mask of its ends; every other
 edge costs one BFS in the graph without it.
+
+Past the two girth checks the audit is one gate table: each block check
+is a module-level function of the audit's shared tables, listed with its
+alpha floor (it applies when alpha > floor) and whether it needs a
+connected graph. The distance rows, metrics, shortest path tree and
+shopping sets are built only when the graph has a block, so a forest's
+audit reads its blocks and the min-cycle table (all bridges) alone.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from itertools import combinations, count
 from typing import NamedTuple
 
 from .errors import AssignmentAmbiguous, Disconnected, PreconditionUnmet
-from .game import (INF, GameConfig, OwnedGraph, StrategyProfile, _check_agent,
+from .game import (INF, GameConfig, Metrics, OwnedGraph, StrategyProfile, _check_agent,
                    _check_size, _mask_to_tuple, agent_cost, all_pairs_distances,
                    bfs, build_graph, distances_from, eccentricity, metrics)
 
@@ -463,9 +470,214 @@ def _lca_and_depths(spt: ShortestPathTree, u1: int, u2: int):
 # the audit
 
 
-def _check(check_id, applicable, passed=None, vacuous=False, witnesses=(), detail=""):
-    return CheckRecord(check_id=check_id, applicable=applicable, passed=passed,
-                       vacuous=vacuous, witnesses=tuple(witnesses), detail=detail)
+class _AuditTables(NamedTuple):
+    """What the block checks read, built once when the graph has a block;
+    ``spt`` and ``shopping`` (one set per block) need a connected graph."""
+
+    alpha: Fraction
+    graph: OwnedGraph
+    comps: list
+    cycles: dict  # the shortest cycle through each edge, None for bridges
+    rows: tuple
+    mets: Metrics
+    spt: ShortestPathTree | None
+    shopping: list | None
+
+
+def _run_min_cycles_directed(t: _AuditTables):
+    comps, cycles = t.comps, t.cycles
+    bad = []
+    for comp in comps:
+        for e in sorted(comp.edges):
+            mc = cycles[e]
+            if not mc.directed:
+                bad.append(Witness(
+                    "undirected_min_cycle", mc.vertices,
+                    f"min cycle {mc.vertices} through {e} is not directed"))
+    return [bad]
+
+
+def _run_members_buy(t: _AuditTables):
+    comps, buys = t.comps, t.graph.buys
+    bad = []
+    for comp in comps:
+        block = comp.mask
+        for v in sorted(comp.vertices):
+            # An edge between two block vertices is a block edge.
+            if not buys[v] & block:
+                bad.append(Witness(
+                    "non_buyer", (v, tuple(sorted(comp.vertices))),
+                    f"vertex {v} buys no edge of its component"))
+    return [bad]
+
+
+def _run_ecc_gap(t: _AuditTables):
+    comps, mets = t.comps, t.mets
+    bad = []
+    for comp in comps:
+        for v in sorted(comp.vertices):
+            if mets.ecc[v] > mets.radius + 2:
+                bad.append(Witness(
+                    "far_component_vertex", (v, mets.ecc[v], mets.radius),
+                    f"vertex {v} has usage {mets.ecc[v]} > radius + 2 = {mets.radius + 2}"))
+    return [bad]
+
+
+def _run_attachment(t: _AuditTables):
+    alpha, comps, rows, mets = t.alpha, t.comps, t.rows, t.mets
+    bad = []
+    for comp in comps:
+        attached = {v: [] for v in comp.vertices}
+        for w, v in enumerate(closest_assignment(rows, comp).assignment):
+            attached[v].append(w)
+        for v in sorted(comp.vertices):
+            bound = mets.ecc[v] + 2 - alpha
+            for w in attached[v]:
+                d = rows[v][w]
+                if d > bound:
+                    bad.append(Witness(
+                        "distant_attachment", (v, w, d),
+                        f"d({v},{w}) = {d} > usage({v}) + 2 - alpha = {bound}"))
+    return [bad]
+
+
+def _run_two_degree(t: _AuditTables):
+    comps, buys, mets = t.comps, t.graph.buys, t.mets
+    connected = mets.is_connected()
+    bad = []
+    examined = 0
+    for comp in comps:
+        if component_is_cycle(comp):
+            # One full cycle: any run of all-but-two of its vertices is
+            # interior to a path, so the effective bound is |C| - 2.
+            k_eq = len(comp.vertices) - 2
+            examined += 1
+            if k_eq > 3:
+                bad.append(Witness(
+                    "long_two_degree_run",
+                    tuple(sorted(comp.vertices)),
+                    f"cycle component of size {len(comp.vertices)} carries a "
+                    f"2-degree run of {k_eq} > 3"))
+            continue
+        for path in two_degree_paths(comp):
+            examined += 1
+            if path.k > 3:
+                bad.append(Witness(
+                    "long_two_degree_path", path.vertices(),
+                    f"path {path.vertices()} has {path.k} interior 2-degree vertices"))
+            elif path.k == 3 and connected:
+                if not _k3_endpoint_condition(buys, mets, path):
+                    bad.append(Witness(
+                        "k3_endpoints", path.vertices(),
+                        f"path {path.vertices()} with k=3 violates the endpoint "
+                        f"usage conditions"))
+    return [bad] if examined else None
+
+
+def _run_neighborhood(t: _AuditTables):
+    comps, adj = t.comps, t.graph.adj
+    bad = []
+    for comp in comps:
+        block = comp.mask
+        deg2 = sum(1 << v for v in comp.vertices if (adj[v] & block).bit_count() == 2)
+        # Every vertex of a block has degree at least 2 in it.
+        deg3 = block & ~deg2
+        m = block
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            near = adj[v] | low  # the closed neighbourhood
+            # Some vertex of degree >= 3 within distance 1; failing
+            # that, all of them have degree 2, so the distance-2 ring
+            # must hold no degree-2 vertex.
+            if near & deg3:
+                continue
+            ball2, rest = near, adj[v]
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                ball2 |= adj[w.bit_length() - 1]
+            if ball2 & ~near & deg2:
+                bad.append(Witness(
+                    "bad_neighborhood", (v,),
+                    f"vertex {v}: no high-degree vertex within distance 1, and "
+                    f"distance-2 ring is not all high-degree"))
+    return [bad]
+
+
+def _run_avg_lower(t: _AuditTables):
+    bad = []
+    for comp in t.comps:
+        if comp.average_degree < Fraction(11, 5):
+            bad.append(Witness(
+                "sparse_component", tuple(sorted(comp.vertices)),
+                f"average degree {comp.average_degree} < 11/5"))
+    return [bad]
+
+
+def _run_single_nontree(t: _AuditTables):
+    bad = []
+    for shopping in t.shopping:
+        for m, edges in shopping.edges_by_member:
+            if len(edges) != 1:
+                bad.append(Witness(
+                    "multi_nontree_buyer", (m, edges),
+                    f"vertex {m} buys {len(edges)} non-tree edges {edges}"))
+    return [bad] if any(s.members for s in t.shopping) else None
+
+
+def _run_shopping_pairs(t: _AuditTables):
+    spt = t.spt
+    lca_bad, dist_bad = [], []
+    half = (t.alpha - 1) / 2
+    # Depths are ints, and an int is below half iff below its ceiling.
+    below = math.ceil(half)
+    threshold = str(half)
+    pairs = [uv for s in t.shopping for uv in combinations(sorted(s.members), 2)]
+    for u1, u2 in pairs:
+        x, d1, d2 = _lca_and_depths(spt, u1, u2)
+        if max(d1, d2) < below:
+            lca_bad.append(Witness(
+                "close_shopping_pair", (u1, u2, x, d1, d2),
+                f"shopping vertices {u1},{u2} are {d1},{d2} from their "
+                f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
+        if d1 + d2 < below:
+            dist_bad.append(Witness(
+                "close_shopping_pair", (u1, u2, d1 + d2),
+                f"tree distance {d1 + d2} between shopping vertices "
+                f"{u1},{u2} < (alpha-1)/2 = {threshold}"))
+    return [lca_bad, dist_bad] if pairs else None
+
+
+def _run_avg_upper(t: _AuditTables):
+    bound = 2 + Fraction(2, math.ceil((t.alpha - 1) / 2))
+    bad = []
+    for comp in t.comps:
+        if not comp.average_degree < bound:
+            bad.append(Witness(
+                "dense_component", tuple(sorted(comp.vertices)),
+                f"average degree {comp.average_degree} >= {bound}"))
+    return [bad]
+
+
+# The gated checks in report order: their ids, the alpha floor (a check
+# applies when alpha > floor), whether it needs a connected graph, the check
+# and the detail of an applicable record ({} is the number of blocks). A
+# check returns one witness list per id, or None when it found nothing to
+# examine (a vacuous pass).
+_GATES = (
+    (("min_cycles_directed",), 2, False, _run_min_cycles_directed, "{} component(s) scanned"),
+    (("component_members_buy",), 2, False, _run_members_buy, ""),
+    (("component_ecc_radius_gap",), 2, True, _run_ecc_gap, ""),
+    (("attachment_distance",), 2, True, _run_attachment, ""),
+    (("two_degree_path_limit",), 5, False, _run_two_degree, ""),
+    (("neighborhood_degree",), 5, False, _run_neighborhood, ""),
+    (("avg_degree_lower",), 5, False, _run_avg_lower, ""),
+    (("shopping_single_nontree",), 1, True, _run_single_nontree, ""),
+    (("shopping_lca_gap", "shopping_pair_distance"), 2, True, _run_shopping_pairs, ""),
+    (("avg_degree_upper",), 2, True, _run_avg_upper, ""),
+)
 
 
 def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) -> LemmaReport:
@@ -479,12 +691,9 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     _check_size(config, profile)
     alpha = config.alpha
     graph = build_graph(profile)
-    rows = all_pairs_distances(graph)
-    mets = metrics(rows)
-    connected = mets.is_connected()
     comps = biconnected_components(graph)
     # A block's cycles and inner shortest paths never leave it, so the
-    # component checks read these graph-wide tables.
+    # block checks read graph-wide tables.
     cycles, cyc = _min_cycles(graph, comps)
     records: list[CheckRecord] = []
 
@@ -492,229 +701,47 @@ def audit_equilibrium_structure(config: GameConfig, profile: StrategyProfile) ->
     for check_id, threshold, label in (
             ("girth_alpha_plus_2", alpha + 2, "alpha + 2"),
             ("girth_2alpha_minus_1", 2 * alpha - 1, "2*alpha - 1")):
+        witnesses = ()
         if g is None:
-            records.append(_check(check_id, True, passed=True, vacuous=True,
-                                  detail="no cycles"))
+            passed, detail = True, "no cycles"
         elif g < threshold:
-            records.append(_check(
-                check_id, True, passed=False,
-                witnesses=[Witness("cycle", cyc,
-                                   f"cycle {cyc} has length {g} < {label} = {threshold}")],
-                detail=f"girth {g} below {threshold}"))
+            passed, detail = False, f"girth {g} below {threshold}"
+            witnesses = (Witness("cycle", cyc,
+                                 f"cycle {cyc} has length {g} < {label} = {threshold}"),)
         else:
-            records.append(_check(check_id, True, passed=True,
-                                  detail=f"girth {g} >= {threshold}"))
+            passed, detail = True, f"girth {g} >= {threshold}"
+        records.append(CheckRecord(check_id=check_id, applicable=True, passed=passed,
+                                   vacuous=g is None, witnesses=witnesses, detail=detail))
 
-    def component_gated(alpha_ok, needs_connected, runner, *check_ids, detail=""):
-        # runner returns one witness list per check id, or None when it found
-        # nothing to examine (a vacuous pass).
-        if not alpha_ok:
-            skip = {"detail": "outside this check's alpha range"}
+    # Without a block every gated check is skipped, so a forest builds none
+    # of these tables.
+    tables = None
+    if comps:
+        rows = all_pairs_distances(graph)
+        mets = metrics(rows)
+        spt = shopping = None
+        if mets.is_connected():
+            # The tree restricted to a block spans it, so a tree path joins
+            # any two shopping vertices of one block.
+            spt = shortest_path_tree(graph, min(mets.centers))
+            shopping = [shopping_vertices(graph, comp, spt) for comp in comps]
+        tables = _AuditTables(alpha, graph, comps, cycles, rows, mets, spt, shopping)
+
+    for check_ids, floor, needs_connected, run, detail in _GATES:
+        if not alpha > floor:
+            vacuous, skip = False, "outside this check's alpha range"
         elif not comps:
-            skip = {"vacuous": True, "detail": "no biconnected components"}
-        elif needs_connected and not connected:
-            skip = {"detail": "graph disconnected"}
+            vacuous, skip = True, "no biconnected components"
+        elif needs_connected and not tables.mets.is_connected():
+            vacuous, skip = False, "graph disconnected"
         else:
-            found = runner()
+            found = run(tables)
             for check_id, bad in zip(check_ids, found or [()] * len(check_ids)):
-                records.append(_check(check_id, True, passed=not bad, witnesses=bad,
-                                      vacuous=found is None, detail=detail))
-            return
-        records.extend(_check(check_id, False, **skip) for check_id in check_ids)
-
-    # --- cycle orientation and membership -------------------------------
-    def run_min_cycles_directed():
-        bad = []
-        for comp in comps:
-            for e in sorted(comp.edges):
-                mc = cycles[e]
-                if not mc.directed:
-                    bad.append(Witness(
-                        "undirected_min_cycle", mc.vertices,
-                        f"min cycle {mc.vertices} through {e} is not directed"))
-        return [bad]
-
-    component_gated(alpha > 2, False, run_min_cycles_directed, "min_cycles_directed",
-                    detail=f"{len(comps)} component(s) scanned")
-
-    def run_members_buy():
-        bad = []
-        for comp in comps:
-            block = comp.mask
-            for v in sorted(comp.vertices):
-                # An edge between two block vertices is a block edge.
-                if not graph.buys[v] & block:
-                    bad.append(Witness(
-                        "non_buyer", (v, tuple(sorted(comp.vertices))),
-                        f"vertex {v} buys no edge of its component"))
-        return [bad]
-
-    component_gated(alpha > 2, False, run_members_buy, "component_members_buy")
-
-    # --- eccentricity and attachment bounds ------------------------------
-    def run_ecc_gap():
-        bad = []
-        for comp in comps:
-            for v in sorted(comp.vertices):
-                if mets.ecc[v] > mets.radius + 2:
-                    bad.append(Witness(
-                        "far_component_vertex", (v, mets.ecc[v], mets.radius),
-                        f"vertex {v} has usage {mets.ecc[v]} > radius + 2 = {mets.radius + 2}"))
-        return [bad]
-
-    component_gated(alpha > 2, True, run_ecc_gap, "component_ecc_radius_gap")
-
-    def run_attachment():
-        bad = []
-        for comp in comps:
-            attached = {v: [] for v in comp.vertices}
-            for w, v in enumerate(closest_assignment(rows, comp).assignment):
-                attached[v].append(w)
-            for v in sorted(comp.vertices):
-                bound = mets.ecc[v] + 2 - alpha
-                for w in attached[v]:
-                    d = rows[v][w]
-                    if d > bound:
-                        bad.append(Witness(
-                            "distant_attachment", (v, w, d),
-                            f"d({v},{w}) = {d} > usage({v}) + 2 - alpha = {bound}"))
-        return [bad]
-
-    component_gated(alpha > 2, True, run_attachment, "attachment_distance")
-
-    # --- 2-degree paths ---------------------------------------------------
-    def run_two_degree():
-        bad = []
-        examined = 0
-        for comp in comps:
-            if component_is_cycle(comp):
-                # One full cycle: any run of all-but-two of its vertices is
-                # interior to a path, so the effective bound is |C| - 2.
-                k_eq = len(comp.vertices) - 2
-                examined += 1
-                if k_eq > 3:
-                    bad.append(Witness(
-                        "long_two_degree_run",
-                        tuple(sorted(comp.vertices)),
-                        f"cycle component of size {len(comp.vertices)} carries a "
-                        f"2-degree run of {k_eq} > 3"))
-                continue
-            for path in two_degree_paths(comp):
-                examined += 1
-                if path.k > 3:
-                    bad.append(Witness(
-                        "long_two_degree_path", path.vertices(),
-                        f"path {path.vertices()} has {path.k} interior 2-degree vertices"))
-                elif path.k == 3 and connected:
-                    if not _k3_endpoint_condition(graph.buys, mets, path):
-                        bad.append(Witness(
-                            "k3_endpoints", path.vertices(),
-                            f"path {path.vertices()} with k=3 violates the endpoint "
-                            f"usage conditions"))
-        return [bad] if examined else None
-
-    component_gated(alpha > 5, False, run_two_degree, "two_degree_path_limit")
-
-    def run_neighborhood():
-        bad = []
-        adj = graph.adj
-        for comp in comps:
-            block = comp.mask
-            deg2 = sum(1 << v for v in comp.vertices if (adj[v] & block).bit_count() == 2)
-            # Every vertex of a block has degree at least 2 in it.
-            deg3 = block & ~deg2
-            m = block
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                near = adj[v] | low  # the closed neighbourhood
-                # Some vertex of degree >= 3 within distance 1; failing
-                # that, all of them have degree 2, so the distance-2 ring
-                # must hold no degree-2 vertex.
-                if near & deg3:
-                    continue
-                ball2, rest = near, adj[v]
-                while rest:
-                    w = rest & -rest
-                    rest ^= w
-                    ball2 |= adj[w.bit_length() - 1]
-                if ball2 & ~near & deg2:
-                    bad.append(Witness(
-                        "bad_neighborhood", (v,),
-                        f"vertex {v}: no high-degree vertex within distance 1, and "
-                        f"distance-2 ring is not all high-degree"))
-        return [bad]
-
-    component_gated(alpha > 5, False, run_neighborhood, "neighborhood_degree")
-
-    def run_avg_lower():
-        bad = []
-        for comp in comps:
-            if comp.average_degree < Fraction(11, 5):
-                bad.append(Witness(
-                    "sparse_component", tuple(sorted(comp.vertices)),
-                    f"average degree {comp.average_degree} < 11/5"))
-        return [bad]
-
-    component_gated(alpha > 5, False, run_avg_lower, "avg_degree_lower")
-
-    # --- shopping vertices ------------------------------------------------
-    # Read only by the two runners below, whose gates imply this condition.
-    if alpha > 1 and comps and connected:
-        # The tree restricted to a block spans it, so a tree path joins any
-        # two shopping vertices of one block.
-        spt = shortest_path_tree(graph, min(mets.centers))
-        shopping_ctx = [shopping_vertices(graph, comp, spt) for comp in comps]
-
-    def run_single_nontree():
-        bad = []
-        for shopping in shopping_ctx:
-            for m, edges in shopping.edges_by_member:
-                if len(edges) != 1:
-                    bad.append(Witness(
-                        "multi_nontree_buyer", (m, edges),
-                        f"vertex {m} buys {len(edges)} non-tree edges {edges}"))
-        return [bad] if any(s.members for s in shopping_ctx) else None
-
-    component_gated(alpha > 1, True, run_single_nontree, "shopping_single_nontree")
-
-    def run_shopping_pairs():
-        lca_bad, dist_bad = [], []
-        half = (alpha - 1) / 2
-        # Depths are ints, and an int is below half iff below its ceiling.
-        below = math.ceil(half)
-        threshold = str(half)
-        pairs = [uv for s in shopping_ctx for uv in combinations(sorted(s.members), 2)]
-        for u1, u2 in pairs:
-            x, d1, d2 = _lca_and_depths(spt, u1, u2)
-            if max(d1, d2) < below:
-                lca_bad.append(Witness(
-                    "close_shopping_pair", (u1, u2, x, d1, d2),
-                    f"shopping vertices {u1},{u2} are {d1},{d2} from their "
-                    f"tree ancestor {x}; max < (alpha-1)/2 = {threshold}"))
-            if d1 + d2 < below:
-                dist_bad.append(Witness(
-                    "close_shopping_pair", (u1, u2, d1 + d2),
-                    f"tree distance {d1 + d2} between shopping vertices "
-                    f"{u1},{u2} < (alpha-1)/2 = {threshold}"))
-        return [lca_bad, dist_bad] if pairs else None
-
-    component_gated(alpha > 2, True, run_shopping_pairs,
-                    "shopping_lca_gap", "shopping_pair_distance")
-
-    def run_avg_upper():
-        bound = 2 + Fraction(2, math.ceil((alpha - 1) / 2))
-        bad = []
-        for comp in comps:
-            if not comp.average_degree < bound:
-                bad.append(Witness(
-                    "dense_component", tuple(sorted(comp.vertices)),
-                    f"average degree {comp.average_degree} >= {bound}"))
-        return [bad]
-
-    component_gated(alpha > 2, True, run_avg_upper, "avg_degree_upper")
-
+                records.append(CheckRecord(check_id, True, not bad, found is None,
+                                           tuple(bad), detail.format(len(comps))))
+            continue
+        records.extend(CheckRecord(check_id, False, None, vacuous, (), skip)
+                       for check_id in check_ids)
     return LemmaReport(records=tuple(records))
 
 

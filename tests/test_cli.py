@@ -342,6 +342,13 @@ class TestRowsAndManifests:
         summaries = [r["witness_summary"] for r in read_csv(out)]
         assert any(s.startswith("vacuous") for s in summaries)
 
+    def test_audit_on_a_long_path(self, tmp_path):
+        # A tree has no block, so its audit builds no n x n distance table.
+        n = 2048
+        text = f"ncg v1\nn {n}\nalpha 3\n" + "".join(f"buy {v} {v + 1}\n" for v in range(n - 1))
+        out = str(tmp_path / "a.csv")
+        assert main(["audit", "--in", write(tmp_path, "p.ncg", text), "--out", out]) == 0
+
     def test_audit_witness_text_blocks(self, tmp_path, capsys):
         out = str(tmp_path / "a.csv")
         assert main(["audit", "--in", write(tmp_path, "t.ncg", TRIANGLE),

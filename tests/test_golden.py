@@ -65,6 +65,21 @@ def _inputs():
         "audit-a6.ncg": _audit_text(6),
         "audit-a25.ncg": _audit_text(25),
         "rand12.ncg": _profile_text(12, 1, _random_connected(rng, list(range(12)), 0.15), rng),
+        **_skip_path_inputs(),
+    }
+
+
+def _skip_path_inputs():
+    """Audits that skip the block checks: a tree, and a graph with a block
+    and a second component. Their own generator keeps every other input's
+    draws, and so every other digest, where they were."""
+    rng = random.Random(23)
+    tree = _random_connected(rng, list(range(24)), 0)
+    pieces = (_random_connected(rng, list(range(10)), 0.3)
+              | _random_connected(rng, list(range(10, 16)), 0.2))
+    return {
+        "audit-tree.ncg": _profile_text(24, 25, tree, rng),
+        "audit-disconnected.ncg": _profile_text(16, 6, pieces, rng),
     }
 
 
@@ -87,6 +102,11 @@ JOBS = {
     # ceil((alpha - 1) / 2) = 3 passes some shopping pairs and fails others,
     # and the checks gated on alpha > 5 apply.
     "audit-a6": ["audit", "--in", "audit-a6.ncg", "--witnesses"],
+    # No block: every check past the girth is skipped as vacuous.
+    "audit-tree": ["audit", "--in", "audit-tree.ncg", "--witnesses"],
+    # Blocks in a disconnected graph: the checks that need a connected
+    # graph are skipped, the others run.
+    "audit-disconnected": ["audit", "--in", "audit-disconnected.ncg", "--witnesses"],
     # The search descent and the dynamics state updates at a larger n.
     "search-n10": ["search", "--n", "10", "--alpha", "1", "--iters", "60", "--seed", "4"],
     "dynamics-n12": ["dynamics", "--in", "rand12.ncg", "--schedule", "rand",
@@ -100,6 +120,10 @@ GOLDEN = {
     "audit-a3.stdout": "16be4d9c567a5ccf945036dd65fe0df125993f8e264c856dec766a3407260cab",
     "audit-a6.csv": "1d29bafd2cc7a964d8c27a37905cf7cc6100e173272c4be2324a76857d3c868a",
     "audit-a6.stdout": "9de27e319a66444c84e25138a201ddf6379dfac3643043b46879bd845d753544",
+    "audit-disconnected.csv": "6175cc3c778a60a6078ec3263a911f5809e2bb4caf7dc6b12790247be4b238d5",
+    "audit-disconnected.stdout": "6cb63fff3cf500867cdccecb50220c95c1449c8df79113564eaa5bc2d20693c1",
+    "audit-tree.csv": "8df27b8fdddacb1d95434b1d4fb370cf804e9ec78a5309f1f22b1ac42c6571bc",
+    "audit-tree.stdout": "4d98b4bdb5494ed29f47dc42c12cff785a093e0d216416d392e4c1f9caa1e5a8",
     "best-response.csv": "6457b6b12ef6fb23d9547e065e69809b96fbc3b4a0ce8fb609788e9d8674c67b",
     "best-response.stdout": "454e175d90f3e4e60f03cfe6c5a66a4d341d71995e55266a659f06f23bf6a20a",
     "dynamics-in.csv": "faf375eeb0293c0ad8ff463d6a098f2ffde3016405a59606c20b972b13c12689",

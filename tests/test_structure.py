@@ -518,6 +518,16 @@ class TestShoppingVertices:
         assert sv.members == frozenset({2, 3})
 
 
+# Each gated check's alpha floor: it applies exactly when alpha > floor.
+_ALPHA_FLOORS = {
+    1: ("shopping_single_nontree",),
+    2: ("min_cycles_directed", "component_members_buy", "component_ecc_radius_gap",
+        "attachment_distance", "shopping_lca_gap", "shopping_pair_distance",
+        "avg_degree_upper"),
+    5: ("two_degree_path_limit", "neighborhood_degree", "avg_degree_lower"),
+}
+
+
 class TestAudit:
     def test_tree_equilibrium_fully_passes(self):
         cfg = GameConfig(3, Fraction(5))
@@ -557,6 +567,19 @@ class TestAudit:
         mid = audit_equilibrium_structure(GameConfig(5, Fraction(3)), profile)
         assert mid.record("min_cycles_directed").applicable
         assert not mid.record("avg_degree_lower").applicable
+
+    @pytest.mark.parametrize("floor", sorted(_ALPHA_FLOORS))
+    def test_alpha_gates_are_strict_at_their_floors(self, floor):
+        profile = directed_cycle_profile(5)
+        at = audit_equilibrium_structure(GameConfig(5, Fraction(floor)), profile)
+        above = audit_equilibrium_structure(GameConfig(5, floor + Fraction(1, 1000)), profile)
+        gated = {c for ids in _ALPHA_FLOORS.values() for c in ids}
+        assert {r.check_id for r in at.records} == gated | {
+            "girth_alpha_plus_2", "girth_2alpha_minus_1"}
+        for check_id in _ALPHA_FLOORS[floor]:
+            rec = at.record(check_id)
+            assert not rec.applicable and rec.detail == "outside this check's alpha range"
+            assert above.record(check_id).applicable
 
     def test_long_cycle_alpha_above_five_fails_degree_checks(self):
         profile = directed_cycle_profile(12)
@@ -609,6 +632,22 @@ class TestAudit:
                          "shortest_path_tree": 1, "bfs": len(triangle_free) + 1,
                          "closest_assignment": 3, "shopping_vertices": 3}
 
+    def test_block_free_audit_reads_no_distance_table(self, monkeypatch):
+        calls = Counter()
+        for name in ("all_pairs_distances", "shortest_path_tree",
+                     "closest_assignment", "shopping_vertices"):
+            def counted(*args, _fn=getattr(ncg.structure, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ncg.structure, name, counted)
+        path = profile_from_edges(64, [(v, v + 1) for v in range(63)])
+        star = profile_from_edges(64, [(0, v) for v in range(1, 64)])
+        for profile in (path, star):
+            report = audit_equilibrium_structure(GameConfig(64, Fraction(3)), profile)
+            assert report.all_applicable_pass()
+            assert not report.record("min_cycles_directed").applicable
+        assert calls == {}
+
     def test_witnesses_reverify(self):
         cfg = GameConfig(4, Fraction(5))
         report = audit_equilibrium_structure(cfg, directed_cycle_profile(4))
@@ -618,6 +657,71 @@ class TestAudit:
             for w in rec.witnesses:
                 if w.kind == "cycle":
                     assert is_min_cycle(graph, w.payload) or len(w.payload) >= 3
+
+
+def _hub_paths(interiors, bought):
+    """Hubs 0 and 1 joined by paths with the given interior counts, and a
+    chain of two vertices hung off hub 0, which makes 0 a center and 1 not.
+    ``bought`` gives each path's purchases: "from 0" and "from 1" buy it
+    along its length from that hub, "mixed" alternates the direction.
+    Returns the profile and each path as a vertex tuple from 0 to 1."""
+    buys = [set(), set()]
+    paths = []
+    for k, how in zip(interiors, bought):
+        seq = (0, *range(len(buys), len(buys) + k), 1)
+        buys.extend(set() for _ in range(k))
+        for i, (a, b) in enumerate(zip(seq, seq[1:])):
+            if how == "from 1" or how == "mixed" and i % 2:
+                a, b = b, a
+            buys[a].add(b)
+        paths.append(seq)
+    buys.extend([{0}, {len(buys)}])
+    return StrategyProfile.from_sets(buys), paths
+
+
+def _two_degree_reference(profile, paths):
+    """The two_degree_path_limit witnesses of blocks whose maximal 2-degree
+    paths are ``paths``, from the oracles' deque-BFS eccentricities."""
+    buys = [set(b) for b in profile.buys]
+    adj = oracles.adjacency(profile.n, buys)
+    ecc = [oracles.eccentricity(profile.n, adj, v) for v in range(profile.n)]
+    radius = min(ecc)
+    bad = []
+    for seq in sorted(paths, key=lambda s: (s[0], s[-1], s[1:-1])):
+        k = len(seq) - 2
+        if k > 3:
+            bad.append(Witness(
+                "long_two_degree_path", seq,
+                f"path {seq} has {k} interior 2-degree vertices"))
+        elif k == 3:
+            readings = [r for r in (seq, seq[::-1])
+                        if all(b in buys[a] for a, b in zip(r, r[1:]))]
+            if not any(ecc[r[0]] == radius and ecc[r[-1]] != radius
+                       for r in readings or (seq, seq[::-1])):
+                bad.append(Witness(
+                    "k3_endpoints", seq,
+                    f"path {seq} with k=3 violates the endpoint usage conditions"))
+    return bad
+
+
+class TestTwoDegreePathAudit:
+    """The two_degree_path_limit check on blocks of two hubs at alpha = 6:
+    a 3-interior path must be bought from a center towards a non-center,
+    and a path with 4 or more interior vertices fails."""
+
+    @pytest.mark.parametrize("interiors, bought, kinds", [
+        ((1, 3, 1), ("from 0", "from 0", "from 0"), []),
+        ((1, 3, 1), ("from 0", "from 1", "from 0"), ["k3_endpoints"]),
+        ((1, 3, 1), ("from 0", "mixed", "from 0"), []),
+        ((1, 3, 4), ("from 0", "from 0", "from 1"), ["long_two_degree_path"]),
+    ])
+    def test_witnesses_match_reference(self, interiors, bought, kinds):
+        profile, paths = _hub_paths(interiors, bought)
+        report = audit_equilibrium_structure(GameConfig(profile.n, Fraction(6)), profile)
+        rec = report.record("two_degree_path_limit")
+        assert rec.applicable and rec.passed == (not kinds)
+        assert [w.kind for w in rec.witnesses] == kinds
+        assert rec.witnesses == tuple(_two_degree_reference(profile, paths))
 
 
 def _shopping_flower(lengths):
